@@ -2,14 +2,20 @@
 //
 // A small dependency-graph task scheduler for the tiled factorizations
 // (lapack/tiled.hpp). A TaskGraph is built once per factorization call —
-// tile tasks with atomic dependency counts and explicit edges — and then
-// drained by the existing PR-1 thread pool via detail::parallel_run; the
+// tile tasks with atomic dependency counts — and then drained by the
+// existing thread pool (core/parallel.hpp) via detail::parallel_run; the
 // scheduler spawns no threads of its own.
 //
 // Design points:
 //
-//  * The graph is static: all tasks and edges are added single-threaded
-//    before run(). add()/add_edge() are not thread-safe; run() is.
+//  * Edges are derived, never written by hand. Each task declares the
+//    integer keys (tiles) it reads and the keys it writes; the last writer
+//    of a key goes before every later reader, and the last writer plus the
+//    readers since then go before the next writer (the dependence-inference
+//    model of PLASMA's QUARK runtime). Every pair of tasks that touch the
+//    same key is therefore ordered by a path of edges by construction.
+//  * The graph is static: all tasks are added single-threaded before
+//    run(). add() is not thread-safe; run() is.
 //  * Two priority levels. High-priority tasks (panel factorizations and
 //    the updates feeding the next panel) are drained before normal ones,
 //    which is what produces panel lookahead: as soon as the tiles feeding
@@ -18,9 +24,9 @@
 //    order, so a serial drain replays the program order of the builder.
 //  * Determinism: the scheduler never splits or reorders a task's body,
 //    so any topological execution order yields identical bits as long as
-//    every pair of tasks touching the same memory is ordered by a path of
-//    edges. The builders in lapack/tiled.hpp maintain exactly that
-//    invariant (see DESIGN.md section 14).
+//    the declared keys cover the memory each task touches (see DESIGN.md
+//    section 14). successors()/predecessors()/invoke() expose the built
+//    graph so a test can drain it in any other topological order.
 //  * Cancellation: cancel(status) latches the first non-zero status and
 //    makes every not-yet-executed task a no-op. Dependency counters are
 //    still drained, so workers always terminate — a failed tile-workspace
@@ -35,6 +41,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,6 +53,7 @@ namespace la {
 class TaskGraph {
  public:
   using TaskId = idx;
+  using Key = idx;
   enum class Priority { Normal = 0, High = 1 };
 
   TaskGraph() = default;
@@ -57,18 +65,49 @@ class TaskGraph {
     return static_cast<idx>(nodes_.size());
   }
 
-  /// Add a task. Build phase only (single-threaded, before run()).
-  TaskId add(std::function<void()> fn, Priority pr = Priority::Normal) {
+  /// Add a task that reads the keys `reads` and writes the keys `writes`
+  /// (small non-negative integers, e.g. flattened tile coordinates; a key
+  /// may appear in both lists). Its edges are derived from earlier tasks'
+  /// declarations. Build phase only (single-threaded, before run()).
+  TaskId add(std::function<void()> fn, std::span<const Key> reads,
+             std::span<const Key> writes, Priority pr = Priority::Normal) {
+    const auto id = static_cast<TaskId>(nodes_.size());
     nodes_.emplace_back(std::move(fn), pr == Priority::High);
-    return static_cast<TaskId>(nodes_.size()) - 1;
+    for (const Key k : reads) {
+      KeyState& ks = access(k);
+      add_edge(ks.writer, id);
+      ks.readers.push_back(id);
+    }
+    for (const Key k : writes) {
+      KeyState& ks = access(k);
+      add_edge(ks.writer, id);
+      for (const TaskId r : ks.readers) {
+        add_edge(r, id);  // includes `id` itself when it also reads k
+      }
+      ks.writer = id;
+      ks.readers.clear();
+    }
+    return id;
   }
 
-  /// Declare that `after` must not start until `before` has finished.
-  /// Build phase only.
-  void add_edge(TaskId before, TaskId after) {
-    nodes_[static_cast<std::size_t>(before)].succ.push_back(after);
-    nodes_[static_cast<std::size_t>(after)].deps.fetch_add(
-        1, std::memory_order_relaxed);
+  /// Tasks that wait on `t`, in insertion order.
+  [[nodiscard]] const std::vector<TaskId>& successors(TaskId t) const {
+    return nodes_[static_cast<std::size_t>(t)].succ;
+  }
+
+  /// Number of tasks `t` waits on (before run()).
+  [[nodiscard]] idx predecessors(TaskId t) const {
+    return nodes_[static_cast<std::size_t>(t)].deps.load(
+        std::memory_order_relaxed);
+  }
+
+  /// Run `t`'s body unless the graph is cancelled. No dependency
+  /// bookkeeping: run() does that; a caller draining the graph itself
+  /// must respect successors()/predecessors().
+  void invoke(TaskId t) {
+    if (!cancelled_.load(std::memory_order_acquire)) {
+      nodes_[static_cast<std::size_t>(t)].fn();
+    }
   }
 
   /// Latch `status` (first caller wins) and skip every task that has not
@@ -124,6 +163,35 @@ class TaskGraph {
     Node(std::function<void()> f, bool h) : fn(std::move(f)), high(h) {}
   };
 
+  struct KeyState {
+    TaskId writer = -1;
+    std::vector<TaskId> readers;  // since the last write
+  };
+
+  KeyState& access(Key k) {
+    if (static_cast<std::size_t>(k) >= keys_.size()) {
+      keys_.resize(static_cast<std::size_t>(k) + 1);
+    }
+    return keys_[static_cast<std::size_t>(k)];
+  }
+
+  /// `after` must not start until `before` has finished. Tasks are added in
+  /// order and `after` is always the newest, so a repeated edge is the last
+  /// entry of `before`'s successor list; a self-edge or a missing writer
+  /// (-1) is no edge.
+  void add_edge(TaskId before, TaskId after) {
+    if (before < 0 || before == after) {
+      return;
+    }
+    auto& succ = nodes_[static_cast<std::size_t>(before)].succ;
+    if (!succ.empty() && succ.back() == after) {
+      return;
+    }
+    succ.push_back(after);
+    nodes_[static_cast<std::size_t>(after)].deps.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+
   void push_ready(TaskId t) {
     (nodes_[static_cast<std::size_t>(t)].high ? high_ : normal_).push_back(t);
   }
@@ -143,10 +211,8 @@ class TaskGraph {
   /// Run one task body (unless cancelled), then release its successors.
   /// Returns true when this was the last task of the graph.
   bool execute(TaskId t) {
-    Node& node = nodes_[static_cast<std::size_t>(t)];
-    if (!cancelled_.load(std::memory_order_acquire)) {
-      node.fn();
-    }
+    invoke(t);
+    const Node& node = nodes_[static_cast<std::size_t>(t)];
     std::vector<TaskId> ready;
     for (const TaskId s : node.succ) {
       if (nodes_[static_cast<std::size_t>(s)].deps.fetch_sub(
@@ -209,6 +275,7 @@ class TaskGraph {
   }
 
   std::deque<Node> nodes_;  // deque: Node is immovable (atomic member)
+  std::vector<KeyState> keys_;  // build phase: per-key access history
   std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<TaskId> high_;

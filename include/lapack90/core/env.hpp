@@ -26,10 +26,10 @@
 
 namespace la {
 
-/// Tuning query kinds, mirroring ILAENV's ISPEC values we use.
+/// Tuning query kinds, mirroring ILAENV's ISPEC values we use (ISPEC 2,
+/// NBMIN, is not one of them).
 enum class EnvSpec : int {
   BlockSize = 1,       ///< optimal block size NB
-  MinBlockSize = 2,    ///< minimum block size for the blocked path
   Crossover = 3,       ///< crossover point N below which unblocked is used
                        ///< (for EnvRoutine::gemm: the m*n*k flop-product
                        ///< below which the packed path is skipped)
@@ -53,9 +53,9 @@ enum class EnvSpec : int {
   TileSize = 11,       ///< tile edge NB for the task-DAG tiled factorizations
                        ///< (extension; LAPACK90_TILE_NB)
   TileScheduler = 12,  ///< factorization scheduler: 1 = legacy fork-join
-                       ///< blocked path, 2 = tiled with a barrier per panel
-                       ///< step, 3 = tiled task-DAG with lookahead (default;
-                       ///< extension; LAPACK90_TILE_SCHEDULER)
+                       ///< blocked path, any other value = tiled task-DAG
+                       ///< with lookahead (default 3; extension;
+                       ///< LAPACK90_TILE_SCHEDULER)
   ServeQueueDepth = 13,  ///< serving subsystem admission bound: maximum
                          ///< admitted-but-uncompleted job entries per
                          ///< la::serve::Server before submissions are
@@ -94,7 +94,8 @@ enum class EnvRoutine : int {
   count_,  // sentinel
 };
 
-/// Extent of the (spec, routine) table: specs are 1-based ISPEC values.
+/// Extent of the (spec, routine) table: specs are 1-based ISPEC values;
+/// the unused ISPEC 2 keeps its row and is never a valid slot.
 inline constexpr int kEnvSpecCount = 16;
 inline constexpr int kEnvRoutineCount = static_cast<int>(EnvRoutine::count_);
 
@@ -128,11 +129,11 @@ namespace detail {
 
 /// Largest legal value per spec: the same clamp the env readers, the
 /// tuning-file parser, and set_env_override all apply (e.g. TileScheduler
-/// tops out at 3, thread counts at 2^15, block sizes at 2^20).
+/// at 3, thread counts at 2^15, block sizes at 2^20).
 [[nodiscard]] idx env_spec_max(EnvSpec spec) noexcept;
 
 /// Environment variable carrying this spec's pin, or nullptr when the spec
-/// has none (BlockSize/MinBlockSize/Crossover are builtin/tuning-file only;
+/// has none (BlockSize/Crossover are builtin/tuning-file only;
 /// Threads resolves through the parallel runtime instead).
 [[nodiscard]] const char* env_knob_name(EnvSpec spec) noexcept;
 

@@ -102,7 +102,7 @@ idx potf2(Uplo uplo, idx n, T* a, idx lda) noexcept {
 
 /// Blocked Cholesky (xPOTRF). Past the blocking crossover the tiled
 /// task-DAG path (lapack/tiled.hpp) takes over unless
-/// LAPACK90_TILE_SCHEDULER selects the legacy fork-join loop.
+/// LAPACK90_TILE_SCHEDULER=1 selects the legacy fork-join loop.
 template <Scalar T>
 idx potrf(Uplo uplo, idx n, T* a, idx lda) {
   if (n == 0) {

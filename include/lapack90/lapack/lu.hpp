@@ -73,7 +73,7 @@ idx getf2(idx m, idx n, T* a, idx lda, idx* ipiv) noexcept {
 /// Blocked LU with partial pivoting (xGETRF). Same contract as getf2; the
 /// trailing update runs through trsm/gemm so most flops are Level 3. Past
 /// the blocking crossover the tiled task-DAG path (lapack/tiled.hpp) takes
-/// over unless LAPACK90_TILE_SCHEDULER selects the legacy fork-join loop.
+/// over unless LAPACK90_TILE_SCHEDULER=1 selects the legacy fork-join loop.
 template <Scalar T>
 idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
   idx info = 0;

@@ -413,7 +413,7 @@ void geqr2(idx m, idx n, T* a, idx lda, T* tau, T* work) noexcept {
 
 /// Blocked QR factorization (xGEQRF). Past the blocking crossover the
 /// tiled task-DAG path (lapack/tiled.hpp) takes over unless
-/// LAPACK90_TILE_SCHEDULER selects the legacy fork-join loop. Returns 0,
+/// LAPACK90_TILE_SCHEDULER=1 selects the legacy fork-join loop. Returns 0,
 /// or -100 when a tiled workspace probe fails (see core/error.hpp).
 template <Scalar T>
 idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {

@@ -5,16 +5,19 @@
 // scheduled by core/dag.hpp with panel lookahead — panel k+1 factors as
 // soon as the tiles feeding it drain, while step-k trailing updates are
 // still in flight. The legacy fork-join blocked paths remain selectable
-// via LAPACK90_TILE_SCHEDULER=1 for fallback and A/B benching, and a
-// barrier-per-step tiled mode (=2) runs the exact same tile kernels in the
-// same per-tile order, so it is bit-identical to the DAG (=3) and gives
-// the test suite a scheduler cross-check.
+// via LAPACK90_TILE_SCHEDULER=1 for fallback and A/B benching.
+//
+// Each factorization is split into a build step (detail::build declares
+// every tile task with the tiles it reads and writes; TaskGraph derives the
+// edges) and a run step (TaskGraph::run). Tiles are keyed by (row tile,
+// column tile) for LU and Cholesky and by column tile for QR.
 //
 // Determinism: a tile's value is produced by a fixed chain of kernel calls
-// (ordered by panel step), and the DAG builders order every pair of tasks
-// that touch overlapping memory with an explicit edge — so any topological
-// execution order, hence any worker count, yields identical bits per fixed
-// tile schedule. See DESIGN.md section 14 for the full argument.
+// (ordered by panel step), and every pair of tasks that touch the same
+// tile is ordered by a derived edge — so any topological execution order,
+// hence any worker count, yields identical bits per fixed tile schedule.
+// tests/test_dag.cpp drains the built graphs in seeded random orders to
+// check it. See DESIGN.md section 14 for the full argument.
 //
 // Include order: the family headers (lu.hpp, cholesky.hpp, qr.hpp) include
 // lapack/tiled_fwd.hpp at the top (dispatch gate + forward declarations)
@@ -23,6 +26,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <vector>
@@ -31,7 +35,6 @@
 #include "lapack90/core/dag.hpp"
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/error.hpp"
-#include "lapack90/core/parallel.hpp"
 #include "lapack90/core/types.hpp"
 #include "lapack90/lapack/aux.hpp"
 #include "lapack90/lapack/cholesky.hpp"
@@ -66,7 +69,9 @@ struct Range {
 struct PanelWorkTag {};  // geqr2 scratch inside tiled QR panel tasks
 struct LarfbWorkTag {};  // larfb scratch inside tiled QR update tasks
 
-constexpr TaskGraph::TaskId kNoTask = -1;
+using Key = TaskGraph::Key;
+constexpr auto kHigh = TaskGraph::Priority::High;
+constexpr auto kNormal = TaskGraph::Priority::Normal;
 
 // ---------------------------------------------------------------------------
 // LU: PA = LU with partial pivoting across the full trailing rows.
@@ -76,8 +81,8 @@ constexpr TaskGraph::TaskId kNoTask = -1;
 //   S_{s,c}       trsm_tile:  row swaps + L11^{-1} solve on column range c
 //   G_{s,r,c}     gemm_tile:  A(r,c) -= L(r,s) U(s,c)
 // Pivot row swaps left of each panel are applied serially after the graph
-// drains — those columns are never read by any task, so deferring them is
-// arithmetically identical to LAPACK's interleaved scheme.
+// drains (finish) — those columns are never read by any task, so deferring
+// them is arithmetically identical to LAPACK's interleaved scheme.
 // ---------------------------------------------------------------------------
 template <Scalar T>
 struct LuTiles {
@@ -126,109 +131,57 @@ struct LuTiles {
                at(r.lo, j), lda, at(j, c.lo), lda, T(1), at(r.lo, c.lo), lda);
   }
 
-  /// Deferred interchanges left of each panel (columns [0, j0(s))).
-  void left_swaps() noexcept {
+  /// After the graph drains: the deferred interchanges left of each panel
+  /// (columns [0, j0(s))). Returns INFO.
+  idx finish() noexcept {
     const idx steps = (k + nb - 1) / nb;
     for (idx s = 1; s < steps; ++s) {
       laswp(j0(s), a, lda, j0(s), j0(s) + jb(s), ipiv);
     }
+    return info.load(std::memory_order_relaxed);
   }
 };
 
+/// P_s writes the panel's column tile from row tile s down; S_{s,c} reads
+/// the L11 tile (and the step's pivots with it) and writes column tile c
+/// from row tile s down (its row swaps reach any row below the panel);
+/// G_{s,r,c} reads L(r,s) and U(s,c) and writes tile (r,c).
 template <Scalar T>
-idx lu_run_barrier(LuTiles<T>& t) {
-  const idx steps = (t.k + t.nb - 1) / t.nb;
-  for (idx s = 0; s < steps; ++s) {
-    t.getrf_tile(s);
-    const idx j = t.j0(s) + t.jb(s);
-    const auto cols = tile_ranges(j, t.n, t.nb);
-    const auto rows = tile_ranges(j, t.m, t.nb);
-    parallel_for(static_cast<idx>(cols.size()),
-                 [&](idx ci, int) { t.trsm_tile(s, cols[ci]); });
-    const idx nc = static_cast<idx>(cols.size());
-    parallel_for(static_cast<idx>(rows.size()) * nc, [&](idx q, int) {
-      t.gemm_tile(s, rows[static_cast<std::size_t>(q / nc)],
-                  cols[static_cast<std::size_t>(q % nc)]);
-    });
-  }
-  t.left_swaps();
-  return t.info.load(std::memory_order_relaxed);
-}
-
-template <Scalar T>
-idx lu_run_dag(LuTiles<T>& t) {
-  using TaskId = TaskGraph::TaskId;
+void build(TaskGraph& g, LuTiles<T>& t) {
   const idx nb = t.nb;
   const idx steps = (t.k + nb - 1) / nb;
   const idx mt = (t.m + nb - 1) / nb;
   const idx nt = (t.n + nb - 1) / nb;
-  TaskGraph g;
-  // Task ids of the previous step, indexed by global tile coordinates.
-  std::vector<TaskId> sprev(static_cast<std::size_t>(nt), kNoTask);
-  std::vector<std::vector<TaskId>> gprev(
-      static_cast<std::size_t>(mt),
-      std::vector<TaskId>(static_cast<std::size_t>(nt), kNoTask));
-  auto scur = sprev;
-  auto gcur = gprev;
-  for (idx s = 0; s < steps; ++s) {
-    const idx j = t.j0(s) + t.jb(s);
-    // Panel: ready once every step-(s-1) update of its column tile landed.
-    const TaskId p =
-        g.add([&t, s] { t.getrf_tile(s); }, TaskGraph::Priority::High);
-    if (s > 0) {
-      const std::size_t cp = static_cast<std::size_t>(t.j0(s) / nb);
-      bool any = false;
-      for (idx r = 0; r < mt; ++r) {
-        if (gprev[static_cast<std::size_t>(r)][cp] != kNoTask) {
-          g.add_edge(gprev[static_cast<std::size_t>(r)][cp], p);
-          any = true;
-        }
-      }
-      if (!any && sprev[cp] != kNoTask) {
-        g.add_edge(sprev[cp], p);
-      }
+  const auto tile = [nt](idx r, idx c) -> Key { return r * nt + c; };
+  std::vector<Key> below;  // tiles of one column tile from row tile s down
+  const auto column = [&](idx s, idx c) -> const std::vector<Key>& {
+    below.clear();
+    for (idx r = s; r < mt; ++r) {
+      below.push_back(tile(r, c));
     }
+    return below;
+  };
+  for (idx s = 0; s < steps; ++s) {
+    g.add([&t, s] { t.getrf_tile(s); }, {}, column(s, s), kHigh);
+    const idx j = t.j0(s) + t.jb(s);
     const auto cols = tile_ranges(j, t.n, nb);
     const auto rows = tile_ranges(j, t.m, nb);
-    std::fill(scur.begin(), scur.end(), kNoTask);
-    for (auto& row : gcur) {
-      std::fill(row.begin(), row.end(), kNoTask);
-    }
     for (std::size_t ci = 0; ci < cols.size(); ++ci) {
       const Range c = cols[ci];
-      const std::size_t ct = static_cast<std::size_t>(c.lo / nb);
+      const idx ct = c.lo / nb;
       // The first trailing range feeds panel s+1: keep it on the critical
       // path so the lookahead panel can start early.
-      const auto pr = ci == 0 ? TaskGraph::Priority::High
-                              : TaskGraph::Priority::Normal;
-      const TaskId sid = g.add([&t, s, c] { t.trsm_tile(s, c); }, pr);
-      g.add_edge(p, sid);
-      if (s > 0) {
-        bool any = false;
-        for (idx r = 0; r < mt; ++r) {
-          if (gprev[static_cast<std::size_t>(r)][ct] != kNoTask) {
-            g.add_edge(gprev[static_cast<std::size_t>(r)][ct], sid);
-            any = true;
-          }
-        }
-        if (!any && sprev[ct] != kNoTask) {
-          g.add_edge(sprev[ct], sid);
-        }
-      }
-      scur[ct] = sid;
+      const auto pr = ci == 0 ? kHigh : kNormal;
+      g.add([&t, s, c] { t.trsm_tile(s, c); }, std::array{tile(s, s)},
+            column(s, ct), pr);
       for (const Range r : rows) {
-        const TaskId gid =
-            g.add([&t, s, r, c] { t.gemm_tile(s, r, c); }, pr);
-        g.add_edge(sid, gid);
-        gcur[static_cast<std::size_t>(r.lo / nb)][ct] = gid;
+        const idx rt = r.lo / nb;
+        g.add([&t, s, r, c] { t.gemm_tile(s, r, c); },
+              std::array{tile(rt, s), tile(s, ct)}, std::array{tile(rt, ct)},
+              pr);
       }
     }
-    sprev.swap(scur);
-    gprev.swap(gcur);
   }
-  g.run();
-  t.left_swaps();
-  return t.info.load(std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -237,6 +190,7 @@ idx lu_run_dag(LuTiles<T>& t) {
 // Tasks per step k: F_k (potf2 on the diagonal tile), T_{k,i} (triangular
 // solve of the off-diagonal tiles against F_k), Y_{k,i} (herk onto the
 // (i,i) diagonal), Z_{k,i,j} (gemm onto the strictly off-diagonal (i,j)).
+// Tiles are keyed by their Lower-triangle coordinates for both uplo values.
 // Updates onto the same tile are chained by step, pinning the accumulation
 // order; a non-positive-definite diagonal cancels the graph with the
 // 1-based leading-minor index.
@@ -302,96 +256,37 @@ struct CholTiles {
   }
 };
 
+/// F_k writes tile (k,k); T_{k,i} reads (k,k) and writes (i,k); Y_{k,i}
+/// reads (i,k) and writes (i,i); Z_{k,i,j} reads (i,k) and (j,k) and
+/// writes (i,j).
 template <Scalar T>
-idx chol_run_barrier(CholTiles<T>& t) {
+void build(TaskGraph& g, CholTiles<T>& t) {
   const idx nt = (t.n + t.nb - 1) / t.nb;
+  const auto tile = [nt](idx i, idx j) -> Key { return i * nt + j; };
   for (idx kk = 0; kk < nt; ++kk) {
-    const idx fi = t.potrf_tile(kk);
-    if (fi != 0) {
-      return fi;
-    }
-    const idx rem = nt - kk - 1;
-    parallel_for(rem, [&](idx q, int) { t.trsm_tile(kk, kk + 1 + q); });
-    // All step-k updates (herk on the diagonal, gemm off it) in one sweep:
-    // pair q covers target tile (i, j), kk < j <= i.
-    parallel_for(rem * (rem + 1) / 2, [&](idx q, int) {
-      idx i = kk + 1, left = q;
-      while (left > i - kk - 1) {
-        left -= i - kk;
-        ++i;
-      }
-      const idx j = kk + 1 + left;
-      if (i == j) {
-        t.herk_tile(kk, i);
-      } else {
-        t.gemm_tile(kk, i, j);
-      }
-    });
-  }
-  return 0;
-}
-
-template <Scalar T>
-idx chol_run_dag(CholTiles<T>& t) {
-  using TaskId = TaskGraph::TaskId;
-  const idx nt = (t.n + t.nb - 1) / t.nb;
-  TaskGraph g;
-  // Last writer chains per tile: diagonal (i,i) and off-diagonal (i,j).
-  std::vector<TaskId> ydiag(static_cast<std::size_t>(nt), kNoTask);
-  std::vector<std::vector<TaskId>> zoff(
-      static_cast<std::size_t>(nt),
-      std::vector<TaskId>(static_cast<std::size_t>(nt), kNoTask));
-  std::vector<TaskId> tid(static_cast<std::size_t>(nt), kNoTask);
-  for (idx kk = 0; kk < nt; ++kk) {
-    const TaskId f = g.add(
+    g.add(
         [&t, &g, kk] {
           if (const idx fi = t.potrf_tile(kk)) {
             g.cancel(fi);
           }
         },
-        TaskGraph::Priority::High);
-    if (ydiag[static_cast<std::size_t>(kk)] != kNoTask) {
-      g.add_edge(ydiag[static_cast<std::size_t>(kk)], f);
-    }
+        {}, std::array{tile(kk, kk)}, kHigh);
     for (idx i = kk + 1; i < nt; ++i) {
-      const TaskId tt = g.add([&t, kk, i] { t.trsm_tile(kk, i); },
-                              TaskGraph::Priority::High);
-      g.add_edge(f, tt);
-      if (zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(kk)] !=
-          kNoTask) {
-        g.add_edge(
-            zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(kk)],
-            tt);
-      }
-      tid[static_cast<std::size_t>(i)] = tt;
+      g.add([&t, kk, i] { t.trsm_tile(kk, i); }, std::array{tile(kk, kk)},
+            std::array{tile(i, kk)}, kHigh);
     }
     for (idx i = kk + 1; i < nt; ++i) {
       // The (k+1, k+1) diagonal update feeds the next panel: high priority
       // is what lets F_{k+1} factor while step-k gemm tiles still drain.
-      const TaskId y = g.add([&t, kk, i] { t.herk_tile(kk, i); },
-                             i == kk + 1 ? TaskGraph::Priority::High
-                                         : TaskGraph::Priority::Normal);
-      g.add_edge(tid[static_cast<std::size_t>(i)], y);
-      if (ydiag[static_cast<std::size_t>(i)] != kNoTask) {
-        g.add_edge(ydiag[static_cast<std::size_t>(i)], y);
-      }
-      ydiag[static_cast<std::size_t>(i)] = y;
+      g.add([&t, kk, i] { t.herk_tile(kk, i); }, std::array{tile(i, kk)},
+            std::array{tile(i, i)}, i == kk + 1 ? kHigh : kNormal);
       for (idx j = kk + 1; j < i; ++j) {
-        const TaskId z = g.add([&t, kk, i, j] { t.gemm_tile(kk, i, j); },
-                               TaskGraph::Priority::Normal);
-        g.add_edge(tid[static_cast<std::size_t>(i)], z);
-        g.add_edge(tid[static_cast<std::size_t>(j)], z);
-        if (zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] !=
-            kNoTask) {
-          g.add_edge(
-              zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
-              z);
-        }
-        zoff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = z;
+        g.add([&t, kk, i, j] { t.gemm_tile(kk, i, j); },
+              std::array{tile(i, kk), tile(j, kk)}, std::array{tile(i, j)},
+              kNormal);
       }
     }
   }
-  return g.run();
 }
 
 // ---------------------------------------------------------------------------
@@ -400,7 +295,7 @@ idx chol_run_dag(CholTiles<T>& t) {
 // larfb_tile applying the panel's compact-WY block to column range c.
 // Per-task workspaces come from thread-local buffers guarded by the
 // alloc_should_fail probe: a failed probe cancels the remaining graph and
-// surfaces INFO = -100 — the satellite-3 cancellation path.
+// surfaces INFO = -100.
 // ---------------------------------------------------------------------------
 template <Scalar T>
 struct QrTiles {
@@ -409,8 +304,6 @@ struct QrTiles {
   idx lda;
   T* tau;
   T* tstore;  // steps * nb * nb, T factor of step s at tstore + s*nb*nb
-  std::atomic<idx> winfo{0};
-  TaskGraph* graph = nullptr;  // null in barrier mode
 
   [[nodiscard]] T* at(idx i, idx j) const noexcept {
     return a + static_cast<std::size_t>(j) * lda + i;
@@ -420,25 +313,11 @@ struct QrTiles {
     return std::min<idx>(nb, k - s * nb);
   }
 
-  /// Workspace probe shared by both run modes: on injected failure, latch
-  /// INFO = -100 and cancel the rest of the graph (DAG mode).
-  [[nodiscard]] bool workspace_fails() noexcept {
-    if (!alloc_should_fail()) {
-      return false;
-    }
-    idx expected = 0;
-    winfo.compare_exchange_strong(expected, idx{-100},
-                                  std::memory_order_relaxed);
-    if (graph != nullptr) {
-      graph->cancel(-100);
-    }
-    return true;
-  }
-
   /// Panel: geqr2 over the remaining rows + larft into this step's T slot.
-  void geqrf_tile(idx s) noexcept {
-    if (winfo.load(std::memory_order_relaxed) != 0 || workspace_fails()) {
-      return;
+  /// Returns false, having done nothing, when the workspace probe fails.
+  [[nodiscard]] bool geqrf_tile(idx s) noexcept {
+    if (alloc_should_fail()) {
+      return false;
     }
     const idx j = j0(s), w = jb(s);
     T* const work =
@@ -449,12 +328,14 @@ struct QrTiles {
       larft(m - j, w, at(j, j), lda, tau + j,
             tstore + static_cast<std::size_t>(s) * nb * nb, w);
     }
+    return true;
   }
 
-  /// Apply the step-s compact-WY block to column range c.
-  void larfb_tile(idx s, Range c) noexcept {
-    if (winfo.load(std::memory_order_relaxed) != 0 || workspace_fails()) {
-      return;
+  /// Apply the step-s compact-WY block to column range c. Returns false,
+  /// having done nothing, when the workspace probe fails.
+  [[nodiscard]] bool larfb_tile(idx s, Range c) noexcept {
+    if (alloc_should_fail()) {
+      return false;
     }
     const idx j = j0(s), w = jb(s);
     T* const work = lapack::detail::work_buffer<T, LarfbWorkTag>(
@@ -462,69 +343,44 @@ struct QrTiles {
     larfb(Side::Left, conj_trans_for<T>(), m - j, c.len(), w, at(j, j), lda,
           tstore + static_cast<std::size_t>(s) * nb * nb, w, at(j, c.lo),
           lda, work, std::max<idx>(c.len(), 1));
+    return true;
   }
 };
 
+/// P_s writes column tile s (and the step's tau and T slot with it);
+/// U_{s,c} reads column tile s and writes column tile c. A failed
+/// workspace probe cancels the graph with INFO = -100.
 template <Scalar T>
-idx qr_run_barrier(QrTiles<T>& t) {
-  const idx steps = (t.k + t.nb - 1) / t.nb;
-  for (idx s = 0; s < steps; ++s) {
-    t.geqrf_tile(s);
-    const auto cols = tile_ranges(t.j0(s) + t.jb(s), t.n, t.nb);
-    parallel_for(static_cast<idx>(cols.size()),
-                 [&](idx ci, int) { t.larfb_tile(s, cols[ci]); });
-    if (t.winfo.load(std::memory_order_relaxed) != 0) {
-      break;
-    }
-  }
-  return t.winfo.load(std::memory_order_relaxed);
-}
-
-template <Scalar T>
-idx qr_run_dag(QrTiles<T>& t) {
-  using TaskId = TaskGraph::TaskId;
+void build(TaskGraph& g, QrTiles<T>& t) {
   const idx nb = t.nb;
   const idx steps = (t.k + nb - 1) / nb;
-  const idx nt = (t.n + nb - 1) / nb;
-  TaskGraph g;
-  t.graph = &g;
-  std::vector<TaskId> uprev(static_cast<std::size_t>(nt), kNoTask);
-  auto ucur = uprev;
   for (idx s = 0; s < steps; ++s) {
-    const TaskId p =
-        g.add([&t, s] { t.geqrf_tile(s); }, TaskGraph::Priority::High);
-    if (s > 0) {
-      const std::size_t cp = static_cast<std::size_t>(t.j0(s) / nb);
-      if (uprev[cp] != kNoTask) {
-        g.add_edge(uprev[cp], p);
-      }
-    }
+    g.add(
+        [&t, &g, s] {
+          if (!t.geqrf_tile(s)) {
+            g.cancel(-100);
+          }
+        },
+        {}, std::array{s}, kHigh);
     const auto cols = tile_ranges(t.j0(s) + t.jb(s), t.n, nb);
-    std::fill(ucur.begin(), ucur.end(), kNoTask);
     for (std::size_t ci = 0; ci < cols.size(); ++ci) {
       const Range c = cols[ci];
-      const std::size_t ct = static_cast<std::size_t>(c.lo / nb);
-      const TaskId u = g.add([&t, s, c] { t.larfb_tile(s, c); },
-                             ci == 0 ? TaskGraph::Priority::High
-                                     : TaskGraph::Priority::Normal);
-      g.add_edge(p, u);
-      if (s > 0 && uprev[ct] != kNoTask) {
-        g.add_edge(uprev[ct], u);
-      }
-      ucur[ct] = u;
+      g.add(
+          [&t, &g, s, c] {
+            if (!t.larfb_tile(s, c)) {
+              g.cancel(-100);
+            }
+          },
+          std::array{s}, std::array{c.lo / nb}, ci == 0 ? kHigh : kNormal);
     }
-    uprev.swap(ucur);
   }
-  g.run();
-  t.graph = nullptr;
-  return t.winfo.load(std::memory_order_relaxed);
 }
 
 }  // namespace detail
 
 /// Tiled LU with partial pivoting. Contract matches lapack::getrf; the
-/// scheduler (barrier or DAG) comes from LAPACK90_TILE_SCHEDULER and the
-/// tile edge from LAPACK90_TILE_NB. Degenerate shapes never build a graph.
+/// tile edge comes from LAPACK90_TILE_NB. Degenerate shapes never build a
+/// graph.
 template <Scalar T>
 idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
   const idx k = std::min(m, n);
@@ -536,9 +392,10 @@ idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
     return getf2(m, n, a, lda, ipiv);  // single tile: unblocked, no graph
   }
   detail::LuTiles<T> t{m, n, k, nb, a, lda, ipiv};
-  return tile_scheduler() == TileScheduler::TiledBarrier
-             ? detail::lu_run_barrier(t)
-             : detail::lu_run_dag(t);
+  TaskGraph g;
+  detail::build(g, t);
+  g.run();
+  return t.finish();
 }
 
 /// Tiled Cholesky. Contract matches lapack::potrf (info = 1-based order of
@@ -553,9 +410,9 @@ idx potrf(Uplo uplo, idx n, T* a, idx lda) {
     return potf2(uplo, n, a, lda);
   }
   detail::CholTiles<T> t{uplo, n, nb, a, lda};
-  return tile_scheduler() == TileScheduler::TiledBarrier
-             ? detail::chol_run_barrier(t)
-             : detail::chol_run_dag(t);
+  TaskGraph g;
+  detail::build(g, t);
+  return g.run();
 }
 
 /// Tiled blocked-Householder QR. Returns 0, or -100 when a tile-workspace
@@ -576,9 +433,9 @@ idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {
   }
   std::vector<T> tstore(static_cast<std::size_t>(steps) * nb * nb);
   detail::QrTiles<T> t{m, n, k, nb, a, lda, tau, tstore.data()};
-  return tile_scheduler() == TileScheduler::TiledBarrier
-             ? detail::qr_run_barrier(t)
-             : detail::qr_run_dag(t);
+  TaskGraph g;
+  detail::build(g, t);
+  return g.run();
 }
 
 }  // namespace la::lapack::tiled

@@ -17,21 +17,18 @@
 namespace la {
 
 /// Which runtime drives getrf/potrf/geqrf past the blocking crossover.
-/// Backed by EnvSpec::TileScheduler (LAPACK90_TILE_SCHEDULER); the legacy
-/// fork-join path stays available for fallback and A/B benching.
+/// Backed by EnvSpec::TileScheduler (LAPACK90_TILE_SCHEDULER): 1 selects
+/// the legacy fork-join path, any other value the DAG.
 enum class TileScheduler : int {
-  ForkJoin = 1,      ///< legacy blocked loops, parallel_for inside each BLAS
-  TiledBarrier = 2,  ///< tile kernels, barrier after each panel step
-  TiledDag = 3,      ///< tile kernels on the task-DAG with panel lookahead
+  ForkJoin = 1,  ///< legacy blocked loops, parallel_for inside each BLAS
+  TiledDag = 3,  ///< tile kernels on the task-DAG with panel lookahead
 };
 
 /// Current scheduler selection.
 [[nodiscard]] inline TileScheduler tile_scheduler() noexcept {
-  const idx v = ilaenv(EnvSpec::TileScheduler, EnvRoutine::getrf, 0);
-  if (v <= 1) {
-    return TileScheduler::ForkJoin;
-  }
-  return v == 2 ? TileScheduler::TiledBarrier : TileScheduler::TiledDag;
+  return ilaenv(EnvSpec::TileScheduler, EnvRoutine::getrf, 0) <= 1
+             ? TileScheduler::ForkJoin
+             : TileScheduler::TiledDag;
 }
 
 /// Process-wide scheduler override; returns the previous selection (the

@@ -48,19 +48,19 @@ idx env_knob(const char* name, idx max_value, idx fallback) noexcept {
 bool valid_env_slot(EnvSpec spec, EnvRoutine routine) noexcept {
   const int s = static_cast<int>(spec);
   const int r = static_cast<int>(routine);
-  return s >= 1 && s <= kEnvSpecCount && r >= 0 && r < kEnvRoutineCount;
+  return s >= 1 && s <= kEnvSpecCount && s != 2 && r >= 0 &&
+         r < kEnvRoutineCount;  // ISPEC 2 (NBMIN) is unused
 }
 
 idx env_spec_max(EnvSpec spec) noexcept {
   switch (spec) {
     case EnvSpec::BlockSize:
-    case EnvSpec::MinBlockSize:
     case EnvSpec::TileSize:
       return idx{1} << 20;
     case EnvSpec::Threads:
       return idx{1} << 15;  // matches the parallel runtime's env clamp
     case EnvSpec::TileScheduler:
-      return 3;  // ForkJoin / TiledBarrier / TiledDag
+      return 3;  // 1 = ForkJoin, any other value = TiledDag
     case EnvSpec::ServeQueueDepth:
     case EnvSpec::ServeBatchMax:
       return idx{1} << 20;
@@ -106,7 +106,6 @@ const char* env_knob_name(EnvSpec spec) noexcept {
     case EnvSpec::ServeShards:
       return "LAPACK90_SERVE_SHARDS";
     case EnvSpec::BlockSize:
-    case EnvSpec::MinBlockSize:
     case EnvSpec::Crossover:
     case EnvSpec::Threads:  // resolved by the parallel runtime instead
       return nullptr;
@@ -123,7 +122,6 @@ constexpr int kSpecs = kEnvSpecCount;
 
 struct Defaults {
   idx nb;
-  idx nbmin;
   idx nx;
 };
 
@@ -138,17 +136,17 @@ struct Defaults {
 // Machines with ordinary cache hierarchies cross earlier; run the
 // la::tune sweep (lapack90_tune) or set_env_override if tuning matters.
 constexpr std::array<Defaults, kRoutines> kDefaults = {{
-    {64, 2, 128},  // getrf
-    {64, 2, 128},  // potrf
-    {32, 2, 128},  // geqrf
-    {32, 2, 128},  // gelqf
-    {32, 2, 128},  // ormqr (also the org* accumulation family)
-    {64, 2, 64},   // getri
-    {32, 2, 384},  // sytrd
-    {32, 2, 128},  // gehrd
-    {32, 2, 384},  // gebrd
-    {64, 1, 32768},  // gemm (nb = cache block edge; nx = m*n*k flop-product
-                     // below which packing is skipped)
+    {64, 128},  // getrf
+    {64, 128},  // potrf
+    {32, 128},  // geqrf
+    {32, 128},  // gelqf
+    {32, 128},  // ormqr (also the org* accumulation family)
+    {64, 64},   // getri
+    {32, 384},  // sytrd
+    {32, 128},  // gehrd
+    {32, 384},  // gebrd
+    {64, 32768},  // gemm (nb = cache block edge; nx = m*n*k flop-product
+                  // below which packing is skipped)
 }};
 
 // Builtin values for the routine-independent specs (the per-VM hand
@@ -186,8 +184,6 @@ idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
   switch (spec) {
     case EnvSpec::BlockSize:
       return d.nb;
-    case EnvSpec::MinBlockSize:
-      return d.nbmin;
     case EnvSpec::Crossover:
       return d.nx;
     case EnvSpec::Threads:

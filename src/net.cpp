@@ -192,7 +192,7 @@ struct Listener::Impl {
   struct ConnState {
     Impl* owner = nullptr;
     int fd = -1;  // const after construction; closed by join_conn only
-    std::atomic<idx> inflight{0};  // submitted, not yet popped by writer
+    std::atomic<idx> inflight{0};  // submitted, result not yet encoded
     std::mutex wmu;
     std::condition_variable wcv;
     std::deque<ReadyItem> ready;  // guarded by wmu
@@ -471,27 +471,29 @@ struct Listener::Impl {
         local.swap(st->ready);
       }
       wbuf.clear();
-      for (const ReadyItem& it : local) {
+      idx done = 0;
+      for (ReadyItem& it : local) {
         encode_item(wbuf, it, ents);
+        if (it.jd != nullptr) {
+          ++done;
+        }
+        it.jd.reset();  // encoded: release job storage promptly
+      }
+      const std::size_t frames = local.size();
+      local.clear();
+      // Free the slots before the bytes leave: a client that honours the
+      // window resubmits as soon as it reads a result, and must find the
+      // slot already free.
+      if (done > 0) {
+        st->inflight.fetch_sub(done, std::memory_order_relaxed);
       }
       if (!st->dead.load(std::memory_order_relaxed)) {
         if (send_all(fd, wbuf.data(), wbuf.size())) {
-          n_frames_out.fetch_add(local.size(), std::memory_order_relaxed);
+          n_frames_out.fetch_add(frames, std::memory_order_relaxed);
         } else {
           st->dead.store(true, std::memory_order_relaxed);
           ::shutdown(fd, SHUT_RDWR);  // wake the reader too
         }
-      }
-      idx done = 0;
-      for (ReadyItem& it : local) {
-        if (it.jd != nullptr) {
-          ++done;
-        }
-        it.jd.reset();  // release job storage promptly
-      }
-      local.clear();
-      if (done > 0) {
-        st->inflight.fetch_sub(done, std::memory_order_relaxed);
       }
     }
     st->mark_part_done();

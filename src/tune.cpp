@@ -37,7 +37,7 @@ namespace {
 constexpr int kSlots = kEnvSpecCount * kEnvRoutineCount;
 
 const char* const kSpecNames[kEnvSpecCount] = {
-    "BlockSize",    "MinBlockSize",      "Crossover",
+    "BlockSize",    nullptr /* ISPEC 2 (NBMIN) is unused */, "Crossover",
     "Threads",      "CacheBlockM",       "CacheBlockK",
     "CacheBlockN",  "BatchGrain",        "IterRefineMaxIter",
     "IterRefineCutoff", "TileSize",      "TileScheduler",
@@ -52,7 +52,7 @@ const char* const kRoutineNames[kEnvRoutineCount] = {
 
 int spec_index(const char* name) noexcept {
   for (int s = 0; s < kEnvSpecCount; ++s) {
-    if (std::strcmp(name, kSpecNames[s]) == 0) {
+    if (kSpecNames[s] != nullptr && std::strcmp(name, kSpecNames[s]) == 0) {
       return s + 1;  // specs are 1-based
     }
   }

@@ -1,13 +1,15 @@
 // Task-DAG scheduler (core/dag.hpp) and the tiled factorizations built on
 // it (lapack/tiled.hpp). Two layers of coverage:
 //
-//  * TaskGraph semantics: every task runs exactly once, dependencies are
-//    honored, priorities drain first, cancellation skips pending tasks
-//    without deadlocking, empty graphs never touch the pool.
+//  * TaskGraph semantics: every task runs exactly once, edges derived from
+//    declared key accesses order read-after-write, write-after-read and
+//    write-after-write (without self or duplicate edges), priorities drain
+//    first, cancellation skips pending tasks without deadlocking, empty
+//    graphs never touch the pool.
 //  * Tiled getrf/potrf/geqrf: bit-identity across worker counts and across
-//    the barrier vs DAG schedulers at a matched tile schedule (the
-//    determinism contract of DESIGN.md section 14), degenerate shapes
-//    against the unblocked reference (including INFO), and the -100
+//    seeded-random topological drains of the exact graph the driver
+//    builds (the determinism contract of DESIGN.md section 14), degenerate
+//    shapes against the unblocked reference (including INFO), and the -100
 //    workspace-injection cancellation path.
 //
 // These suites ride the "dag" ctest label, the thread-matrix runs and the
@@ -15,7 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,6 +53,8 @@ struct TileNbGuard {
     set_env_override(EnvSpec::TileSize, EnvRoutine::geqrf, pq);
   }
 };
+
+using Keys = std::vector<TaskGraph::Key>;
 
 struct ThreadsGuard {
   idx prev;
@@ -86,23 +94,22 @@ TEST(DagSchedulerTest, RunsEveryTaskExactlyOnce) {
   TaskGraph g;
   constexpr idx kTasks = 64;
   std::vector<std::atomic<int>> hits(kTasks);
-  std::vector<TaskGraph::TaskId> ids;
+  // Deterministic sparse dependence pattern: task i writes key i and reads
+  // the keys of tasks i-1 (when i-1 is even) and i-7.
   for (idx i = 0; i < kTasks; ++i) {
-    ids.push_back(g.add([&hits, i] {
-      hits[static_cast<std::size_t>(i)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }));
-  }
-  // Deterministic sparse edge pattern (always from lower to higher id).
-  for (idx i = 0; i < kTasks; ++i) {
-    if (i + 1 < kTasks && i % 2 == 0) {
-      g.add_edge(ids[static_cast<std::size_t>(i)],
-                 ids[static_cast<std::size_t>(i + 1)]);
+    Keys reads;
+    if (i % 2 == 1) {
+      reads.push_back(i - 1);
     }
-    if (i + 7 < kTasks) {
-      g.add_edge(ids[static_cast<std::size_t>(i)],
-                 ids[static_cast<std::size_t>(i + 7)]);
+    if (i >= 7) {
+      reads.push_back(i - 7);
     }
+    g.add(
+        [&hits, i] {
+          hits[static_cast<std::size_t>(i)].fetch_add(
+              1, std::memory_order_relaxed);
+        },
+        reads, Keys{i});
   }
   EXPECT_EQ(g.run(), 0);
   for (idx i = 0; i < kTasks; ++i) {
@@ -119,16 +126,12 @@ TEST(DagSchedulerTest, RespectsDependencyOrder) {
     std::lock_guard<std::mutex> lk(mu);
     order.push_back(v);
   };
-  const TaskGraph::TaskId root = g.add([&] { record(0); });
-  std::vector<TaskGraph::TaskId> mid;
+  // Key 0 is the root's output, keys 1..8 the middles' outputs.
+  g.add([&] { record(0); }, {}, Keys{0});
   for (int i = 1; i <= 8; ++i) {
-    mid.push_back(g.add([&record, i] { record(i); }));
-    g.add_edge(root, mid.back());
+    g.add([&record, i] { record(i); }, Keys{0}, Keys{i});
   }
-  const TaskGraph::TaskId sink = g.add([&] { record(9); });
-  for (const auto t : mid) {
-    g.add_edge(t, sink);
-  }
+  g.add([&] { record(9); }, Keys{1, 2, 3, 4, 5, 6, 7, 8}, {});
   EXPECT_EQ(g.run(), 0);
   ASSERT_EQ(order.size(), 10u);
   EXPECT_EQ(order.front(), 0);  // root strictly first
@@ -141,9 +144,9 @@ TEST(DagSchedulerTest, SerialDrainPrefersHighPriorityFifo) {
   ThreadsGuard one(1);
   TaskGraph g;
   std::vector<int> order;
-  g.add([&] { order.push_back(1); }, TaskGraph::Priority::Normal);
-  g.add([&] { order.push_back(2); }, TaskGraph::Priority::High);
-  g.add([&] { order.push_back(3); }, TaskGraph::Priority::High);
+  g.add([&] { order.push_back(1); }, {}, {}, TaskGraph::Priority::Normal);
+  g.add([&] { order.push_back(2); }, {}, {}, TaskGraph::Priority::High);
+  g.add([&] { order.push_back(3); }, {}, {}, TaskGraph::Priority::High);
   EXPECT_EQ(g.run(), 0);
   EXPECT_EQ(order, (std::vector<int>{2, 3, 1}));
 }
@@ -151,19 +154,17 @@ TEST(DagSchedulerTest, SerialDrainPrefersHighPriorityFifo) {
 TEST(DagSchedulerTest, CancelSkipsPendingAndSurfacesStatus) {
   TaskGraph g;
   std::atomic<int> ran{0};
-  std::vector<TaskGraph::TaskId> ids;
   constexpr int kTasks = 12;
   for (int i = 0; i < kTasks; ++i) {
-    ids.push_back(g.add([&g, &ran, i] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (i == 3) {
-        g.cancel(-100);
-      }
-    }));
-    if (i > 0) {
-      g.add_edge(ids[static_cast<std::size_t>(i - 1)],
-                 ids[static_cast<std::size_t>(i)]);
-    }
+    // Every task writes key 0: a chain in insertion order.
+    g.add(
+        [&g, &ran, i] {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          if (i == 3) {
+            g.cancel(-100);
+          }
+        },
+        {}, Keys{0});
   }
   EXPECT_EQ(g.run(), -100);  // terminates: no deadlock, counters drained
   EXPECT_TRUE(g.cancelled());
@@ -177,8 +178,144 @@ TEST(DagSchedulerTest, CancelSkipsPendingAndSurfacesStatus) {
 }
 
 // ---------------------------------------------------------------------------
+// Edges derived from declared key accesses, each at 1 and 4 workers.
+// ---------------------------------------------------------------------------
+
+TEST(DagSchedulerTest, ReadAfterWriteWaitsForTheWriter) {
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
+    TaskGraph g;
+    std::atomic<bool> written{false};
+    std::atomic<int> early{0};
+    const auto w = g.add(
+        [&] { written.store(true, std::memory_order_release); }, {},
+        Keys{0});
+    for (int i = 0; i < 6; ++i) {
+      const auto r = g.add(
+          [&] {
+            if (!written.load(std::memory_order_acquire)) {
+              early.fetch_add(1, std::memory_order_relaxed);
+            }
+          },
+          Keys{0}, Keys{1 + i});
+      EXPECT_EQ(g.predecessors(r), 1);
+    }
+    EXPECT_EQ(g.successors(w).size(), 6u);
+    EXPECT_EQ(g.run(), 0);
+    EXPECT_EQ(early.load(), 0) << workers << " workers";
+  }
+}
+
+TEST(DagSchedulerTest, WriteAfterReadWaitsForEveryReader) {
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
+    TaskGraph g;
+    std::atomic<int> reads{0};
+    int seen = -1;
+    for (int i = 0; i < 6; ++i) {
+      g.add([&] { reads.fetch_add(1, std::memory_order_acq_rel); }, Keys{0},
+            {});
+    }
+    const auto w = g.add(
+        [&] { seen = reads.load(std::memory_order_acquire); }, {}, Keys{0});
+    EXPECT_EQ(g.predecessors(w), 6);
+    EXPECT_EQ(g.run(), 0);
+    EXPECT_EQ(seen, 6) << workers << " workers";
+  }
+}
+
+TEST(DagSchedulerTest, WriteAfterWriteKeepsProgramOrder) {
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
+    TaskGraph g;
+    std::vector<int> order;  // every writer is ordered: no lock needed
+    // Unrelated normal-priority tasks first, so a free-running worker
+    // would have something else to pick.
+    for (int i = 0; i < 8; ++i) {
+      g.add([] {}, {}, Keys{100 + i});
+    }
+    for (int i = 0; i < 8; ++i) {
+      g.add([&order, i] { order.push_back(i); }, {}, Keys{0},
+            i % 2 == 0 ? TaskGraph::Priority::Normal
+                       : TaskGraph::Priority::High);
+    }
+    EXPECT_EQ(g.run(), 0);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}))
+        << workers << " workers";
+  }
+}
+
+TEST(DagSchedulerTest, ReadWriteOfOneKeyAddsNoSelfEdge) {
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
+    TaskGraph g;
+    std::vector<int> order;
+    const auto a = g.add([&] { order.push_back(0); }, {}, Keys{0});
+    const auto b = g.add([&] { order.push_back(1); }, Keys{0}, Keys{0});
+    const auto c = g.add([&] { order.push_back(2); }, Keys{0}, Keys{0});
+    const auto d = g.add([&] { order.push_back(3); }, Keys{0}, {});
+    EXPECT_EQ(g.predecessors(a), 0);
+    EXPECT_EQ(g.predecessors(b), 1);
+    EXPECT_EQ(g.predecessors(c), 1);
+    EXPECT_EQ(g.predecessors(d), 1);
+    EXPECT_EQ(g.successors(b), (std::vector<TaskGraph::TaskId>{c}));
+    EXPECT_EQ(g.run(), 0);  // a self-edge would never drain
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3})) << workers << " workers";
+  }
+}
+
+TEST(DagSchedulerTest, SamePredecessorThroughTwoKeysIsOneEdge) {
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
+    TaskGraph g;
+    std::atomic<int> step{0};
+    int seen = -1;
+    const auto w = g.add([&] { step.store(1, std::memory_order_release); },
+                         {}, Keys{0, 1});
+    // Reads key 0, reads-and-writes key 1: three accesses, one predecessor.
+    const auto r = g.add(
+        [&] { seen = step.load(std::memory_order_acquire); }, Keys{0, 1},
+        Keys{1});
+    EXPECT_EQ(g.predecessors(r), 1);
+    EXPECT_EQ(g.successors(w), (std::vector<TaskGraph::TaskId>{r}));
+    EXPECT_EQ(g.run(), 0);
+    EXPECT_EQ(seen, 1) << workers << " workers";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tiled factorizations.
 // ---------------------------------------------------------------------------
+
+/// Serial drain of a built graph in a seeded-random topological order:
+/// each step runs a uniformly chosen ready task. Returns the graph status.
+idx random_drain(TaskGraph& g, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<idx> deps(static_cast<std::size_t>(g.size()));
+  std::vector<TaskGraph::TaskId> ready;
+  for (TaskGraph::TaskId t = 0; t < g.size(); ++t) {
+    deps[static_cast<std::size_t>(t)] = g.predecessors(t);
+    if (deps[static_cast<std::size_t>(t)] == 0) {
+      ready.push_back(t);
+    }
+  }
+  idx ran = 0;
+  while (!ready.empty()) {
+    const std::size_t i = rng() % ready.size();
+    const TaskGraph::TaskId t = ready[i];
+    ready[i] = ready.back();
+    ready.pop_back();
+    g.invoke(t);
+    ++ran;
+    for (const TaskGraph::TaskId s : g.successors(t)) {
+      if (--deps[static_cast<std::size_t>(s)] == 0) {
+        ready.push_back(s);
+      }
+    }
+  }
+  EXPECT_EQ(ran, g.size()) << "graph has a cycle";
+  return g.status();
+}
 
 template <Scalar T>
 class TiledFactorTest : public ::testing::Test {};
@@ -192,9 +329,8 @@ TYPED_TEST(TiledFactorTest, GetrfBitIdenticalAcrossSchedulersAndWorkers) {
                       {257, 193}}) {
     const Matrix<T> a0 = random_matrix<T>(m, n, seed);
     const idx k = std::min(m, n);
-    const auto factor = [&](TileScheduler s, idx workers, Matrix<T>& f,
+    const auto factor = [&](idx workers, Matrix<T>& f,
                             std::vector<idx>& piv) {
-      SchedulerGuard sg(s);
       ThreadsGuard tg(workers);
       f = a0;
       piv.assign(static_cast<std::size_t>(k), -1);
@@ -202,15 +338,12 @@ TYPED_TEST(TiledFactorTest, GetrfBitIdenticalAcrossSchedulersAndWorkers) {
     };
     Matrix<T> ref(m, n), cur(m, n);
     std::vector<idx> pref, pcur;
-    factor(TileScheduler::TiledDag, 1, ref, pref);
+    factor(1, ref, pref);
     for (const idx workers : {idx{4}, idx{8}}) {
-      factor(TileScheduler::TiledDag, workers, cur, pcur);
+      factor(workers, cur, pcur);
       expect_bitwise(cur, ref, "dag factors across worker counts");
       EXPECT_EQ(pcur, pref);
     }
-    factor(TileScheduler::TiledBarrier, 4, cur, pcur);
-    expect_bitwise(cur, ref, "barrier vs dag factors");
-    EXPECT_EQ(pcur, pref);
     // And the result is a genuine LU of a0: solve a square system through
     // the factors (square case only).
     if (m == n) {
@@ -232,20 +365,17 @@ TYPED_TEST(TiledFactorTest, PotrfBitIdenticalAcrossSchedulersAndWorkers) {
   for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
     for (const idx n : {idx{200}, idx{257}}) {
       const Matrix<T> a0 = random_spd<T>(n, seed);
-      const auto factor = [&](TileScheduler s, idx workers, Matrix<T>& f) {
-        SchedulerGuard sg(s);
+      const auto factor = [&](idx workers, Matrix<T>& f) {
         ThreadsGuard tg(workers);
         f = a0;
         ASSERT_EQ(lapack::potrf(uplo, n, f.data(), f.ld()), 0);
       };
       Matrix<T> ref(n, n), cur(n, n);
-      factor(TileScheduler::TiledDag, 1, ref);
+      factor(1, ref);
       for (const idx workers : {idx{4}, idx{8}}) {
-        factor(TileScheduler::TiledDag, workers, cur);
+        factor(workers, cur);
         expect_bitwise(cur, ref, "dag potrf across worker counts");
       }
-      factor(TileScheduler::TiledBarrier, 4, cur);
-      expect_bitwise(cur, ref, "barrier vs dag potrf");
       // Solve through the factors to pin correctness.
       Matrix<T> x = random_matrix<T>(n, 2, seed);
       const Matrix<T> b = multiply(a0, x);
@@ -266,9 +396,7 @@ TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
        {std::pair<idx, idx>{200, 150}, {150, 200}, {257, 257}}) {
     const Matrix<T> a0 = random_matrix<T>(m, n, seed);
     const idx k = std::min(m, n);
-    const auto factor = [&](TileScheduler s, idx workers, Matrix<T>& f,
-                            std::vector<T>& tau) {
-      SchedulerGuard sg(s);
+    const auto factor = [&](idx workers, Matrix<T>& f, std::vector<T>& tau) {
       ThreadsGuard tg(workers);
       f = a0;
       tau.assign(static_cast<std::size_t>(k), T(0));
@@ -276,15 +404,12 @@ TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
     };
     Matrix<T> ref(m, n), cur(m, n);
     std::vector<T> tref, tcur;
-    factor(TileScheduler::TiledDag, 1, ref, tref);
+    factor(1, ref, tref);
     for (const idx workers : {idx{4}, idx{8}}) {
-      factor(TileScheduler::TiledDag, workers, cur, tcur);
+      factor(workers, cur, tcur);
       expect_bitwise(cur, ref, "dag geqrf across worker counts");
       EXPECT_EQ(tcur, tref);
     }
-    factor(TileScheduler::TiledBarrier, 4, cur, tcur);
-    expect_bitwise(cur, ref, "barrier vs dag geqrf");
-    EXPECT_EQ(tcur, tref);
     // Reconstruct Q R and compare against the input (tall/square shapes).
     if (m >= n) {
       Matrix<T> q = ref;
@@ -294,6 +419,83 @@ TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
                     r.data(), r.ld());
       EXPECT_LE(max_diff(multiply(q, r), a0), tol<T>() * real_t<T>(m + n));
       EXPECT_LE(orthogonality(q), tol<T>() * real_t<T>(m));
+    }
+  }
+}
+
+TYPED_TEST(TiledFactorTest, RandomTopologicalOrdersAreBitIdentical) {
+  // Build the exact graph each tiled driver runs, drain it serially in
+  // seeded-random topological orders, and require the driver's own result
+  // bit for bit: any order the derived edges allow must be equivalent.
+  using T = TypeParam;
+  namespace td = lapack::tiled::detail;
+  TileNbGuard nbg(16);
+  Iseed seed = seed_for(606);
+  constexpr std::uint64_t kSeeds = 8;
+  // Square, tall, wide, and wide-ragged (k = m < n, m mod nb != 0).
+  const std::pair<idx, idx> shapes[] = {{96, 96}, {112, 64}, {64, 112},
+                                        {72, 112}};
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
+    for (const auto& [m, n] : shapes) {
+      const Matrix<T> a0 = random_matrix<T>(m, n, seed);
+      const idx k = std::min(m, n);
+      {
+        const idx nb = lapack::tiled::tile_nb(EnvRoutine::getrf, k);
+        Matrix<T> ref = a0;
+        std::vector<idx> pref(static_cast<std::size_t>(k), -1);
+        ASSERT_EQ(lapack::tiled::getrf(m, n, ref.data(), ref.ld(),
+                                       pref.data()),
+                  0);
+        for (std::uint64_t rs = 0; rs < kSeeds; ++rs) {
+          Matrix<T> f = a0;
+          std::vector<idx> piv(static_cast<std::size_t>(k), -1);
+          td::LuTiles<T> t{m, n, k, nb, f.data(), f.ld(), piv.data()};
+          TaskGraph g;
+          td::build(g, t);
+          EXPECT_EQ(random_drain(g, rs), 0);
+          EXPECT_EQ(t.finish(), 0);
+          expect_bitwise(f, ref, "getrf random order");
+          EXPECT_EQ(piv, pref) << m << "x" << n << " seed " << rs;
+        }
+      }
+      {
+        const idx nb = lapack::tiled::tile_nb(EnvRoutine::geqrf, k);
+        Matrix<T> ref = a0;
+        std::vector<T> tref(static_cast<std::size_t>(k), T(0));
+        ASSERT_EQ(lapack::tiled::geqrf(m, n, ref.data(), ref.ld(),
+                                       tref.data()),
+                  0);
+        for (std::uint64_t rs = 0; rs < kSeeds; ++rs) {
+          Matrix<T> f = a0;
+          std::vector<T> tau(static_cast<std::size_t>(k), T(0));
+          std::vector<T> tstore(static_cast<std::size_t>(k + nb - 1) / nb *
+                                nb * nb);
+          td::QrTiles<T> t{m,   n,         k,          nb,
+                           f.data(), f.ld(), tau.data(), tstore.data()};
+          TaskGraph g;
+          td::build(g, t);
+          EXPECT_EQ(random_drain(g, rs), 0);
+          expect_bitwise(f, ref, "geqrf random order");
+          EXPECT_EQ(tau, tref) << m << "x" << n << " seed " << rs;
+        }
+      }
+    }
+    for (const idx n : {idx{96}, idx{88}}) {
+      const Matrix<T> a0 = random_spd<T>(n, seed);
+      const idx nb = lapack::tiled::tile_nb(EnvRoutine::potrf, n);
+      for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+        Matrix<T> ref = a0;
+        ASSERT_EQ(lapack::tiled::potrf(uplo, n, ref.data(), ref.ld()), 0);
+        for (std::uint64_t rs = 0; rs < kSeeds; ++rs) {
+          Matrix<T> f = a0;
+          td::CholTiles<T> t{uplo, n, nb, f.data(), f.ld()};
+          TaskGraph g;
+          td::build(g, t);
+          EXPECT_EQ(random_drain(g, rs), 0);
+          expect_bitwise(f, ref, "potrf random order");
+        }
+      }
     }
   }
 }
@@ -372,9 +574,8 @@ TYPED_TEST(TiledFactorTest, WorkspaceInjectionCancelsDagWithoutDeadlock) {
   const idx m = 200, n = 160;
   const Matrix<T> a0 = random_matrix<T>(m, n, seed);
   const idx k = std::min(m, n);
-  for (const TileScheduler mode :
-       {TileScheduler::TiledDag, TileScheduler::TiledBarrier}) {
-    SchedulerGuard sg(mode);
+  for (const idx workers : {idx{1}, idx{4}}) {
+    ThreadsGuard tg(workers);
     // Reference result with no injection active.
     Matrix<T> ref = a0;
     std::vector<T> tref(static_cast<std::size_t>(k), T(0));
@@ -412,6 +613,23 @@ TEST(TiledEnvTest, TileKnobDefaultsAndOverrides) {
   EXPECT_EQ(sprev, TileScheduler::TiledDag);
   EXPECT_EQ(tile_scheduler(), TileScheduler::ForkJoin);
   EXPECT_EQ(set_tile_scheduler(sprev), TileScheduler::ForkJoin);
+  EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
+  // 1 selects fork-join; every other value, 2 included, selects the DAG,
+  // through the programmatic override and through the environment alike.
+  for (const idx v : {idx{1}, idx{2}, idx{3}}) {
+    const auto want = v == 1 ? TileScheduler::ForkJoin : TileScheduler::TiledDag;
+    const idx oprev =
+        set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, v);
+    EXPECT_EQ(tile_scheduler(), want) << "override " << v;
+    set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, oprev);
+    ASSERT_EQ(::setenv("LAPACK90_TILE_SCHEDULER", std::to_string(v).c_str(),
+                       1),
+              0);
+    detail::refresh_env_cache();
+    EXPECT_EQ(tile_scheduler(), want) << "LAPACK90_TILE_SCHEDULER=" << v;
+    ASSERT_EQ(::unsetenv("LAPACK90_TILE_SCHEDULER"), 0);
+    detail::refresh_env_cache();
+  }
   EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
 }
 

@@ -328,6 +328,48 @@ TEST(NetAdmission, PerConnectionCapRejectsAtTheWire) {
             static_cast<std::uint64_t>(jobs - 1));
 }
 
+TEST(NetAdmission, WindowEqualToCapNeverRejects) {
+  // A client that keeps exactly conn_inflight jobs in flight resubmits as
+  // soon as it reads a result. The listener frees the slot before the
+  // result is sent, so no resubmission may find the connection full.
+  constexpr idx kCap = 4;
+  constexpr idx kJobs = 4000;
+  const idx n = 4;
+  ListenerConfig cfg;
+  cfg.conn_inflight = kCap;
+  Loop lo(cfg);
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kCap, n, 1, 9112, as, bs);
+  std::vector<Matrix<double>> a(as), b(bs);
+  std::vector<Client::Ticket> ts(kCap);
+  const auto submit = [&](idx job) {
+    const auto slot = static_cast<std::size_t>(job % kCap);
+    a[slot] = as[slot];
+    b[slot] = bs[slot];
+    ts[slot] = lo.client.gesv_async(n, 1, a[slot].data(), a[slot].ld(),
+                                    b[slot].data(), b[slot].ld());
+    lo.client.flush();
+  };
+  for (idx j = 0; j < kCap; ++j) {
+    submit(j);
+  }
+  idx rejected = 0, failed = 0;
+  for (idx j = 0; j < kJobs; ++j) {
+    const JobResult r = lo.client.wait(ts[static_cast<std::size_t>(j % kCap)]);
+    if (r.info == serve::kInfoRejected) {
+      ++rejected;
+    } else if (r.info != 0) {
+      ++failed;
+    }
+    if (j + kCap < kJobs) {
+      submit(j + kCap);
+    }
+  }
+  EXPECT_EQ(rejected, 0);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(lo.listener.stats().conn_rejects, 0u);
+}
+
 TEST(NetAdmission, OversizedJobFailsTooLargeAndConnectionSurvives) {
   // max_frame chosen so the Submit frame fits but the Result frame would
   // not: its per-entry metadata is 32 bytes against the Submit's 16, so a

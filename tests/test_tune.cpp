@@ -112,6 +112,7 @@ TEST(TuneFileTest, MalformedLinesAreSkippedNotFatal) {
       "gemm CacheBlockK 99999999999\n" // above the spec maximum
       "gemm CacheBlockK 64 extra\n"    // trailing field
       "getrf Threads 7\n"              // Threads never loads from a file
+      "getrf MinBlockSize 8\n"         // removed spec (ISPEC 2 is unused)
       "getrf TileSize 160\n";          // good
   const std::string path = temp_path("malformed");
   write_text(path, body.c_str());
@@ -120,7 +121,7 @@ TEST(TuneFileTest, MalformedLinesAreSkippedNotFatal) {
   tune::LoadInfo info;
   EXPECT_EQ(tune::load_file(path, in, &info), tune::LoadStatus::Loaded);
   EXPECT_EQ(info.applied, 2);
-  EXPECT_EQ(info.skipped, 8);
+  EXPECT_EQ(info.skipped, 9);
   EXPECT_EQ(in.get(EnvSpec::CacheBlockK, EnvRoutine::gemm), 192);
   EXPECT_EQ(in.get(EnvSpec::TileSize, EnvRoutine::getrf), 160);
   EXPECT_EQ(in.get(EnvSpec::Threads, EnvRoutine::getrf), 0);

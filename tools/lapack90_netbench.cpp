@@ -8,7 +8,10 @@
 //
 // and reports throughput plus client-observed p50/p95/p99 latency for the
 // net arm, the in-process baseline, and their ratio, as JSON
-// (BENCH_net.json by default; see EXPERIMENTS.md).
+// (BENCH_net.json by default; see EXPERIMENTS.md). Every result is
+// checked: each arm counts rejected jobs (serve::kInfoRejected) and other
+// nonzero INFO values separately, prints both, and the run exits 1 when
+// either count is nonzero.
 //
 //   lapack90_netbench [--jobs N] [--n N] [--nrhs N] [--clients C]
 //                     [--window W] [--want-a] [--out FILE] [--smoke]
@@ -75,6 +78,16 @@ void fill_problem(std::uint64_t k, la::idx n, la::idx nrhs,
 struct ArmResult {
   double jobs_per_s = 0.0;
   double p50_us = 0.0, p95_us = 0.0, p99_us = 0.0;
+  int rejected = 0;  ///< jobs resolved with serve::kInfoRejected
+  int failed = 0;    ///< any other nonzero INFO, or never sent (no link)
+
+  void count(la::idx info) noexcept {
+    if (info == la::serve::kInfoRejected) {
+      ++rejected;
+    } else if (info != 0) {
+      ++failed;
+    }
+  }
 };
 
 double quantile(std::vector<double>& v, double q) {
@@ -88,13 +101,11 @@ double quantile(std::vector<double>& v, double q) {
   return v[k];
 }
 
-ArmResult finish(std::vector<double>& lat, int jobs, double secs) {
-  ArmResult r;
+void finish(ArmResult& r, std::vector<double>& lat, int jobs, double secs) {
   r.jobs_per_s = static_cast<double>(jobs) / secs;
   r.p50_us = quantile(lat, 0.50);
   r.p95_us = quantile(lat, 0.95);
   r.p99_us = quantile(lat, 0.99);
-  return r;
 }
 
 /// In-process arm: one thread keeps `window` jobs in flight in a server.
@@ -108,6 +119,7 @@ ArmResult run_inproc(const Options& opt) {
   std::deque<Slot> inflight;
   std::vector<double> lat;
   lat.reserve(static_cast<std::size_t>(opt.jobs));
+  ArmResult res;
   const auto start = clk::now();
   for (int k = 0; k < opt.jobs; ++k) {
     Slot s;
@@ -118,7 +130,7 @@ ArmResult run_inproc(const Options& opt) {
     while (static_cast<int>(inflight.size()) >= opt.window) {
       Slot done = std::move(inflight.front());
       inflight.pop_front();
-      (void)done.fut.get();
+      res.count(done.fut.get().info);
       lat.push_back(std::chrono::duration<double, std::micro>(clk::now() -
                                                               done.t0)
                         .count());
@@ -127,22 +139,23 @@ ArmResult run_inproc(const Options& opt) {
   while (!inflight.empty()) {
     Slot done = std::move(inflight.front());
     inflight.pop_front();
-    (void)done.fut.get();
+    res.count(done.fut.get().info);
     lat.push_back(
         std::chrono::duration<double, std::micro>(clk::now() - done.t0)
             .count());
   }
   const double secs =
       std::chrono::duration<double>(clk::now() - start).count();
-  return finish(lat, opt.jobs, secs);
+  finish(res, lat, opt.jobs, secs);
+  return res;
 }
 
 /// One net client worker: `jobs` problems, windowed.
 void run_client(const Options& opt, int port, int jobs, std::uint64_t seed0,
-                std::vector<double>& lat, bool& ok) {
+                std::vector<double>& lat, ArmResult& res) {
   la::net::Client cl;
   if (!cl.connect("127.0.0.1", port)) {
-    ok = false;
+    res.failed = jobs;
     return;
   }
   const std::uint8_t want =
@@ -166,10 +179,7 @@ void run_client(const Options& opt, int port, int jobs, std::uint64_t seed0,
     while (static_cast<int>(inflight.size()) >= opt.window) {
       Slot done = std::move(inflight.front());
       inflight.pop_front();
-      const la::serve::JobResult r = cl.wait(done.t);
-      if (r.info != 0) {
-        ok = false;
-      }
+      res.count(cl.wait(done.t).info);
       lat.push_back(std::chrono::duration<double, std::micro>(clk::now() -
                                                               done.t0)
                         .count());
@@ -179,36 +189,33 @@ void run_client(const Options& opt, int port, int jobs, std::uint64_t seed0,
   while (!inflight.empty()) {
     Slot done = std::move(inflight.front());
     inflight.pop_front();
-    const la::serve::JobResult r = cl.wait(done.t);
-    if (r.info != 0) {
-      ok = false;
-    }
+    res.count(cl.wait(done.t).info);
     lat.push_back(
         std::chrono::duration<double, std::micro>(clk::now() - done.t0)
             .count());
   }
 }
 
-ArmResult run_net(const Options& opt, bool& ok) {
+ArmResult run_net(const Options& opt) {
+  ArmResult res;
   la::net::Listener listener;
   if (!listener.ok()) {
-    ok = false;
-    return {};
+    res.failed = opt.jobs;
+    return res;
   }
   const int port = listener.port();
   std::vector<std::thread> threads;
   std::vector<std::vector<double>> lats(
       static_cast<std::size_t>(opt.clients));
-  std::vector<bool> oks(static_cast<std::size_t>(opt.clients), true);
+  std::vector<ArmResult> parts(static_cast<std::size_t>(opt.clients));
   const int per = opt.jobs / opt.clients;
   const auto start = clk::now();
   for (int c = 0; c < opt.clients; ++c) {
     const int jobs = c == 0 ? opt.jobs - per * (opt.clients - 1) : per;
     threads.emplace_back([&, c, jobs] {
-      bool w_ok = true;
       run_client(opt, port, jobs, static_cast<std::uint64_t>(c) << 32,
-                 lats[static_cast<std::size_t>(c)], w_ok);
-      oks[static_cast<std::size_t>(c)] = w_ok;
+                 lats[static_cast<std::size_t>(c)],
+                 parts[static_cast<std::size_t>(c)]);
     });
   }
   for (auto& t : threads) {
@@ -220,10 +227,12 @@ ArmResult run_net(const Options& opt, bool& ok) {
   for (auto& l : lats) {
     lat.insert(lat.end(), l.begin(), l.end());
   }
-  for (const bool o : oks) {
-    ok = ok && o;
+  for (const ArmResult& p : parts) {
+    res.rejected += p.rejected;
+    res.failed += p.failed;
   }
-  return finish(lat, opt.jobs, secs);
+  finish(res, lat, opt.jobs, secs);
+  return res;
 }
 
 /// --smoke: the net path must reproduce the in-process serve result
@@ -293,11 +302,14 @@ int main(int argc, char** argv) {
     return run_smoke(opt);
   }
 
-  bool ok = true;
   const ArmResult inproc = run_inproc(opt);
-  const ArmResult net = run_net(opt, ok);
-  if (!ok) {
-    std::fprintf(stderr, "netbench: net arm reported failures\n");
+  const ArmResult net = run_net(opt);
+  std::printf(
+      "netbench: inproc %d rejected, %d failed | net %d rejected, %d "
+      "failed\n",
+      inproc.rejected, inproc.failed, net.rejected, net.failed);
+  if (inproc.rejected + inproc.failed + net.rejected + net.failed != 0) {
+    std::fprintf(stderr, "netbench: jobs were rejected or failed\n");
     return 1;
   }
   const double ratio =

@@ -8,12 +8,17 @@
 //   --tune [tune args...]   run the la::tune sweep (see tune::tune_main)
 //   --check BASELINE.json   perf-regression gate: re-measure this binary's
 //                           curated subset and compare (see perf_check.hpp)
+//
+// A plain run exits 1 when any arm reported an error (SkipWithError, e.g.
+// a served job that came back rejected), so a failing arm fails the run.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lapack90/core/env.hpp"
@@ -64,6 +69,58 @@ inline void add_machine_context() {
   }
 }
 
+/// Run google-benchmark with the argv-style `args`. False when one of them
+/// is not recognized.
+inline bool run_benchmarks(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (auto& a : args) {
+    argv.push_back(a.data());
+  }
+  int n = static_cast<int>(argv.size());
+  benchmark::Initialize(&n, argv.data());
+  if (benchmark::ReportUnrecognizedArguments(n, argv.data())) {
+    return false;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return true;
+}
+
+/// Run the binary's curated benchmark subset and gate it against
+/// `baseline_path`. Returns 0 = pass, 1 = regression or errored arm,
+/// 77 = skipped, 2 = usage/io error.
+inline int run_perf_check(const char* argv0, const char* baseline_path,
+                          const char* filter, const char* fresh_out) {
+  const char* gate = std::getenv("LAPACK90_PERF_GATE");
+  if (gate != nullptr && std::strcmp(gate, "off") == 0) {
+    std::printf("perf gate: LAPACK90_PERF_GATE=off, skipping\n");
+    return 77;
+  }
+  BenchFile base;
+  if (!parse_bench_json(baseline_path, base)) {
+    std::fprintf(stderr, "perf gate: cannot read baseline %s\n",
+                 baseline_path);
+    return 2;
+  }
+  if (const int rc = check_signature(base, argv0, baseline_path); rc != 0) {
+    return rc;
+  }
+
+  // Fresh measurement: curated filter, best of 3 repetitions.
+  run_benchmarks({argv0, std::string("--benchmark_filter=") + filter,
+                  "--benchmark_repetitions=3",
+                  "--benchmark_report_aggregates_only=false",
+                  std::string("--benchmark_out=") + fresh_out,
+                  "--benchmark_out_format=json"});
+  BenchFile fresh;
+  if (!parse_bench_json(fresh_out, fresh)) {
+    std::fprintf(stderr, "perf gate: cannot read fresh run %s\n", fresh_out);
+    return 2;
+  }
+  return compare_runs(base, fresh, baseline_path);
+}
+
 /// Shared main. `check_filter` is the curated --benchmark_filter regex the
 /// perf gate re-measures in --check mode (nullptr disables --check for
 /// this binary).
@@ -94,27 +151,30 @@ inline int run_with_json_default(int argc, char** argv,
     const std::string fresh = std::string(default_out) + ".check";
     return run_perf_check(argv[0], argv[2], check_filter, fresh.c_str());
   }
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
+  std::vector<std::string> args(argv, argv + argc);
+  std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) {
-      has_out = true;
+      out_path = argv[i] + 16;
     }
   }
-  std::string out_flag;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    out_flag = std::string("--benchmark_out=") + default_out;
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
+  if (out_path.empty()) {
+    out_path = default_out;
+    args.push_back("--benchmark_out=" + out_path);
+    args.push_back("--benchmark_out_format=json");
   }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) {
+  if (!run_benchmarks(std::move(args))) {
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  // Re-read the report: an arm that called SkipWithError fails the run.
+  BenchFile report;
+  if (parse_bench_json(out_path.c_str(), report)) {
+    if (const int errored = count_errors(report); errored != 0) {
+      std::fprintf(stderr, "%s: %d benchmark entr%s reported an error\n",
+                   argv[0], errored, errored == 1 ? "y" : "ies");
+      return 1;
+    }
+  }
   return 0;
 }
 

@@ -12,7 +12,11 @@
 //     deliberately biases against false alarms on noisy shared machines.
 //   * Noise floor: entries faster than 50 us are skipped (too jittery for
 //     a 10% gate), as is anything when the machine signatures differ —
-//     the gate SKIPS (exit 77) rather than comparing across machines.
+//     the gate SKIPS (exit 77) rather than comparing across machines, and
+//     prints the command that re-baselines on this one.
+//   * An errored fresh entry (the arm called SkipWithError: google-benchmark
+//     reports it with "error_occurred": true and real_time 0) FAILS the
+//     gate; it is never a fast sample or a skip.
 //
 // Environment:
 //   LAPACK90_PERF_GATE=off       skip entirely (exit 77)
@@ -21,9 +25,9 @@
 // The JSON reader is a line-oriented scanner for google-benchmark's
 // generated output (one "key": value per line) — not a general parser,
 // but dependency-free and sufficient for both sides of the comparison.
+// This header reads and judges reports only; running the fresh
+// measurement is bench_json_main.hpp's job.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -33,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "lapack90/core/env.hpp"
 #include "lapack90/tune/tune.hpp"
 
 namespace la::bench {
@@ -44,6 +47,7 @@ struct BenchSample {
   double real_time = 0.0;
   std::string time_unit = "ns";
   double gflops = -1.0;  // "GFLOP/s" counter, -1 when absent
+  bool error_occurred = false;  // the arm called SkipWithError
 };
 
 struct BenchFile {
@@ -147,11 +151,20 @@ inline bool parse_bench_json(const char* path, BenchFile& out) {
       cur.time_unit = detail::unquote(value);
     } else if (key == "GFLOP/s") {
       cur.gflops = std::atof(value.c_str());
+    } else if (key == "error_occurred") {
+      cur.error_occurred = value == "true";
     }
   }
   flush();
   std::fclose(f);
   return true;
+}
+
+/// Entries of `file` whose arm reported an error.
+inline int count_errors(const BenchFile& file) {
+  return static_cast<int>(
+      std::count_if(file.samples.begin(), file.samples.end(),
+                    [](const BenchSample& s) { return s.error_occurred; }));
 }
 
 /// Per-benchmark metric after aggregation. `gflops` wins when present.
@@ -201,62 +214,33 @@ inline std::map<std::string, Metric> aggregate(const BenchFile& file,
   return out;
 }
 
-/// Run the binary's curated benchmark subset and gate it against
-/// `baseline_path`. Returns 0 = pass, 1 = regression, 77 = skipped,
-/// 2 = usage/io error.
-inline int run_perf_check(const char* argv0, const char* baseline_path,
-                          const char* filter, const char* fresh_out) {
-  const char* gate = std::getenv("LAPACK90_PERF_GATE");
-  if (gate != nullptr && std::strcmp(gate, "off") == 0) {
-    std::printf("perf gate: LAPACK90_PERF_GATE=off, skipping\n");
-    return 77;
-  }
-  BenchFile base;
-  if (!parse_bench_json(baseline_path, base)) {
-    std::fprintf(stderr, "perf gate: cannot read baseline %s\n",
-                 baseline_path);
-    return 2;
-  }
+/// Whether `base` was measured on this machine: 0 when comparable, else 77
+/// (skip) after printing the signature diff and the re-baseline command.
+inline int check_signature(const BenchFile& base, const char* argv0,
+                           const char* baseline_path) {
   const std::string here = la::tune::machine_signature().str();
   const auto sig = base.context.find("machine_signature");
-  if (sig == base.context.end()) {
-    std::printf(
-        "perf gate: baseline %s has no machine_signature (pre-1.5 format), "
-        "skipping\n",
-        baseline_path);
-    return 77;
+  const std::string there =
+      sig == base.context.end() ? "(none: pre-1.5 format)" : sig->second;
+  if (there == here) {
+    return 0;
   }
-  if (sig->second != here) {
-    std::printf(
-        "perf gate: baseline machine differs, skipping\n  baseline: %s\n  "
-        "here:     %s\n",
-        sig->second.c_str(), here.c_str());
-    return 77;
-  }
+  std::printf(
+      "perf gate: baseline machine differs, skipping\n  baseline: %s\n  "
+      "here:     %s\n  re-baseline: %s --benchmark_out=%s "
+      "--benchmark_repetitions=5\n",
+      there.c_str(), here.c_str(), argv0, baseline_path);
+  return 77;
+}
 
-  // Fresh measurement: curated filter, best of 3 repetitions.
-  std::vector<std::string> arg_store = {
-      argv0,
-      std::string("--benchmark_filter=") + filter,
-      "--benchmark_repetitions=3",
-      "--benchmark_report_aggregates_only=false",
-      std::string("--benchmark_out=") + fresh_out,
-      "--benchmark_out_format=json",
-  };
-  std::vector<char*> args;
-  args.reserve(arg_store.size());
-  for (auto& a : arg_store) {
-    args.push_back(a.data());
-  }
-  int argc = static_cast<int>(args.size());
-  benchmark::Initialize(&argc, args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-
-  BenchFile fresh;
-  if (!parse_bench_json(fresh_out, fresh)) {
-    std::fprintf(stderr, "perf gate: cannot read fresh run %s\n", fresh_out);
-    return 2;
+/// Gate a fresh run against the baseline. Returns 0 = pass, 1 = regression
+/// or an errored fresh entry, 77 = nothing comparable.
+inline int compare_runs(const BenchFile& base, const BenchFile& fresh,
+                        const char* baseline_path) {
+  if (const int errored = count_errors(fresh); errored != 0) {
+    std::printf("perf gate: %d fresh entries reported an error -> FAIL\n",
+                errored);
+    return 1;
   }
   const auto base_m = aggregate(base, /*best_of=*/false);
   const auto fresh_m = aggregate(fresh, /*best_of=*/true);
@@ -273,10 +257,9 @@ inline int run_perf_check(const char* argv0, const char* baseline_path,
   int compared = 0;
   int regressed = 0;
   std::printf(
-      "perf gate: %s vs fresh (tol %.0f%%, signature %s)\n"
+      "perf gate: %s vs fresh (tol %.0f%%)\n"
       "  %-44s %12s %12s %8s\n",
-      baseline_path, tol_pct, here.c_str(), "benchmark", "baseline", "fresh",
-      "delta");
+      baseline_path, tol_pct, "benchmark", "baseline", "fresh", "delta");
   for (const auto& [name, fm] : fresh_m) {
     const auto it = base_m.find(name);
     if (it == base_m.end()) {

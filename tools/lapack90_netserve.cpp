@@ -7,14 +7,16 @@
 //   lapack90_netserve [--port P] [--shards N] [--queue N] [--batch N]
 //                     [--flush-us N]
 //
-// Every knob falls back to its LAPACK90_* environment variable (see
-// net/listener.hpp and serve/server.hpp).
+// Every knob left off the command line falls back to its LAPACK90_*
+// environment variable (see net/listener.hpp and serve/server.hpp). Flag
+// values are parsed strictly: --port takes 0..65535 (0 = ephemeral), the
+// rest a positive integer within the knob's legal range. Anything else
+// prints the usage and exits 2 before binding.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
+#include "lapack90/core/env.hpp"
 #include "lapack90/net/net.hpp"
 
 namespace {
@@ -29,28 +31,46 @@ void usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using la::EnvSpec;
+  using la::detail::env_spec_max;
   la::net::ListenerConfig cfg;
+  la::idx port = cfg.port;
+  const struct {
+    const char* name;
+    la::idx max;
+    la::idx* out;
+  } flags[] = {
+      {"--port", 65535, &port},
+      {"--shards", env_spec_max(EnvSpec::ServeShards), &cfg.serve.shards},
+      {"--queue", env_spec_max(EnvSpec::ServeQueueDepth),
+       &cfg.serve.queue_depth},
+      {"--batch", env_spec_max(EnvSpec::ServeBatchMax), &cfg.serve.batch_max},
+      {"--flush-us", env_spec_max(EnvSpec::ServeFlushUs),
+       &cfg.serve.flush_us},
+  };
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const bool has_val = i + 1 < argc;
-    if (std::strcmp(a, "--port") == 0 && has_val) {
-      cfg.port = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--shards") == 0 && has_val) {
-      cfg.serve.shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--queue") == 0 && has_val) {
-      cfg.serve.queue_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--batch") == 0 && has_val) {
-      cfg.serve.batch_max = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--flush-us") == 0 && has_val) {
-      cfg.serve.flush_us = std::atoi(argv[++i]);
-    } else if (std::strcmp(a, "--help") == 0) {
+    if (std::strcmp(argv[i], "--help") == 0) {
       usage(argv[0]);
       return 0;
-    } else {
+    }
+    la::idx v = -1;
+    for (const auto& f : flags) {
+      if (std::strcmp(argv[i], f.name) == 0 && i + 1 < argc) {
+        const char* s = argv[++i];
+        // parse_env_idx takes [1, max]; port 0 (ephemeral) is legal too.
+        v = f.out == &port && std::strcmp(s, "0") == 0
+                ? 0
+                : la::detail::parse_env_idx(s, f.max, -1);
+        *f.out = v;
+        break;
+      }
+    }
+    if (v < 0) {
       usage(argv[0]);
       return 2;
     }
   }
+  cfg.port = static_cast<int>(port);
 
   la::net::Listener listener(cfg);
   if (!listener.ok()) {

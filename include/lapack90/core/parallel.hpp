@@ -1,12 +1,12 @@
 // lapack90/core/parallel.hpp
 //
 // The thread runtime under the Level-3 BLAS and the blocked factorizations.
-// `parallel_for` hands out independent chunks to a team of workers: OpenMP
-// when the build has it (LAPACK90_HAVE_OPENMP), otherwise a persistent
-// std::thread pool built here. The worker count routes through the ilaenv
-// override machinery (EnvSpec::Threads) so tests and benches can force a
-// serial run or a fixed team size; the process default resolves from
-// LAPACK90_NUM_THREADS, then OMP_NUM_THREADS, then hardware concurrency.
+// `parallel_for` hands out independent chunks to a team of workers drawn
+// from one persistent std::thread pool (src/parallel.cpp). The worker count
+// routes through the ilaenv override machinery (EnvSpec::Threads) so tests
+// and benches can force a serial run or a fixed team size; the process
+// default resolves from LAPACK90_NUM_THREADS, then hardware concurrency.
+// A team never exceeds hardware_threads(), whatever count is requested.
 //
 // Contract: the result of a kernel built on parallel_for must not depend on
 // the worker count — every chunk writes a disjoint region and all reduction
@@ -25,27 +25,27 @@ namespace la {
 namespace detail {
 
 /// Thread count from the environment, computed once per process:
-/// LAPACK90_NUM_THREADS > OMP_NUM_THREADS > std::thread::hardware_concurrency.
+/// LAPACK90_NUM_THREADS > std::thread::hardware_concurrency.
 [[nodiscard]] idx default_thread_count() noexcept;
 
 /// True while executing inside a parallel_for worker (guards nesting).
 [[nodiscard]] bool in_parallel_region() noexcept;
 
-/// Run body(chunk, tid) for chunk in [0, nchunks) on a team of `nthreads`
-/// workers (tid in [0, nthreads)). Blocks until every chunk has run.
+/// Run body(chunk, tid) for chunk in [0, nchunks) on a team of at most
+/// min(nthreads, hardware_threads()) workers (tid below that). Blocks until
+/// every chunk has run. An exception escaping `body` terminates the process.
 void parallel_run(idx nchunks, idx nthreads,
-                  const std::function<void(idx, int)>& body);
+                  const std::function<void(idx, int)>& body) noexcept;
 
 }  // namespace detail
 
 /// Hardware concurrency as seen by this process (>= 1).
 [[nodiscard]] idx hardware_threads() noexcept;
 
-/// The backend parallel_for dispatches to in this build: "openmp" when the
-/// library was compiled with an OpenMP runtime, "std::thread" for the
-/// built-in pool, or "serial" when the process sees a single hardware
-/// thread (the pool is never spun up). Reported in la::version() and the
-/// bench JSON context so measurements are attributable after the fact.
+/// The backend parallel_for dispatches to: "std::thread" for the built-in
+/// pool, or "serial" when the process sees a single hardware thread (the
+/// pool is never spun up). Reported in la::version() and the bench JSON
+/// context so measurements are attributable after the fact.
 [[nodiscard]] const char* thread_backend_name() noexcept;
 
 /// The worker count the Level-3 runtime will use right now (>= 1):

@@ -280,7 +280,7 @@ idx ilaenv(EnvSpec spec, EnvRoutine routine, idx n) noexcept {
   idx v;
   if (spec == EnvSpec::Threads) {
     // Historical order: the set_num_threads override beats the environment
-    // default (which already folds in LAPACK90_NUM_THREADS/OMP_NUM_THREADS).
+    // default (which already folds in LAPACK90_NUM_THREADS).
     v = ov > 0 ? ov : detail::default_thread_count();
   } else if (const idx ev = env_var_value(spec); ev > 0) {
     v = ev;  // deployment pin: the env var beats everything programmatic

@@ -1,25 +1,19 @@
 // Thread runtime for the Level-3 BLAS — see include/lapack90/core/parallel.hpp.
 //
-// Two interchangeable backends sit behind detail::parallel_run:
-//   * OpenMP (LAPACK90_HAVE_OPENMP): a parallel region with a dynamically
-//     scheduled chunk loop — the runtime we expect on HPC toolchains.
-//   * A persistent std::thread pool, spun up lazily on first use, for
-//     builds without an OpenMP runtime. The calling thread participates as
-//     tid 0; top-level parallel_run calls are serialized against each
-//     other (one team at a time), matching the single-team OpenMP shape.
+// detail::parallel_run hands chunks to a persistent std::thread pool, spun up
+// lazily on first use. The calling thread participates as tid 0; top-level
+// parallel_run calls are serialized against each other (one team at a time).
 
 #include "lapack90/core/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#ifdef LAPACK90_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace la {
 
@@ -29,66 +23,30 @@ idx hardware_threads() noexcept {
 }
 
 const char* thread_backend_name() noexcept {
-#ifdef LAPACK90_HAVE_OPENMP
-  return "openmp";
-#else
   return hardware_threads() > 1 ? "std::thread" : "serial";
-#endif
 }
 
 namespace detail {
 
 namespace {
 
-idx env_thread_count(const char* name) noexcept {
-  // Shared hardened reader (see detail::env_knob): a malformed or absurd
-  // LAPACK90_NUM_THREADS / OMP_NUM_THREADS falls back to 0 = "unset"
-  // rather than, e.g., LONG_MAX truncated to a negative team size.
-  return env_knob(name, idx{1} << 15, 0);
-}
-
 thread_local bool t_in_parallel = false;
 
-}  // namespace
+// How long an idle worker, and a caller waiting for workers that claimed a
+// chunk, poll before sleeping on a condition variable. The serving path
+// issues back-to-back regions of a few microseconds each (one flush of
+// small batch entries); paying a futex wake and sleep per region made a
+// coalesced flush slower than running its jobs one by one. 50 us covers
+// the gap between such regions and bounds what an idle pool burns.
+constexpr auto kSpin = std::chrono::microseconds(50);
 
-idx default_thread_count() noexcept {
-  static const idx cached = [] {
-    if (const idx n = env_thread_count("LAPACK90_NUM_THREADS")) {
-      return n;
-    }
-    if (const idx n = env_thread_count("OMP_NUM_THREADS")) {
-      return n;
-    }
-    return hardware_threads();
-  }();
-  return cached;
-}
-
-bool in_parallel_region() noexcept {
-#ifdef LAPACK90_HAVE_OPENMP
-  return t_in_parallel || omp_in_parallel() != 0;
-#else
-  return t_in_parallel;
-#endif
-}
-
-#ifdef LAPACK90_HAVE_OPENMP
-
-void parallel_run(idx nchunks, idx nthreads,
-                  const std::function<void(idx, int)>& body) {
-#pragma omp parallel num_threads(static_cast<int>(nthreads))
-  {
-    const int tid = omp_get_thread_num();
-#pragma omp for schedule(dynamic, 1)
-    for (idx i = 0; i < nchunks; ++i) {
-      body(i, tid);
-    }
+template <class Pred>
+void spin_until(Pred ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  while (!ready() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
 }
-
-#else  // std::thread pool fallback
-
-namespace {
 
 class ThreadPool {
  public:
@@ -97,28 +55,34 @@ class ThreadPool {
     return pool;
   }
 
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
   void run(idx nchunks, idx nthreads,
-           const std::function<void(idx, int)>& body) {
+           const std::function<void(idx, int)>& body) noexcept {
     // One team at a time; concurrent top-level callers queue up here.
     std::lock_guard<std::mutex> team(team_mutex_);
-    const idx want = std::min<idx>(nthreads - 1,
-                                   static_cast<idx>(workers_.size()));
     {
       std::lock_guard<std::mutex> lk(mutex_);
       body_ = &body;
       nchunks_ = nchunks;
       next_.store(0, std::memory_order_relaxed);
-      participants_ = want;
-      remaining_ = want;
-      ++generation_;
+      participants_ = std::min<idx>(nthreads - 1,
+                                    static_cast<idx>(workers_.size()));
+      generation_.fetch_add(1, std::memory_order_release);
     }
     work_cv_.notify_all();
-    // The caller is tid 0 and works alongside the pool.
-    t_in_parallel = true;
+    // The caller is tid 0 and works alongside the pool. Once its drain
+    // returns every chunk is claimed, so only the workers that joined
+    // (active_) can still be running one. A worker joins under mutex_, so
+    // one that takes it after the check below sees the chunks gone; the
+    // spin only saves the condvar sleep.
     drain(0);
-    t_in_parallel = false;
+    spin_until([&] { return active_.load(std::memory_order_acquire) == 0; });
     std::unique_lock<std::mutex> lk(mutex_);
-    done_cv_.wait(lk, [&] { return remaining_ == 0; });
+    done_cv_.wait(lk, [&] {
+      return active_.load(std::memory_order_relaxed) == 0;
+    });
     body_ = nullptr;
   }
 
@@ -134,7 +98,7 @@ class ThreadPool {
   ~ThreadPool() {
     {
       std::lock_guard<std::mutex> lk(mutex_);
-      stop_ = true;
+      stop_.store(true, std::memory_order_relaxed);
     }
     work_cv_.notify_all();
     for (auto& t : workers_) {
@@ -142,64 +106,92 @@ class ThreadPool {
     }
   }
 
-  void drain(int tid) {
+  // noexcept: a body that throws terminates the process. Unwinding here
+  // would leave t_in_parallel set and the other team members running a
+  // body whose caller has gone.
+  void drain(int tid) noexcept {
+    t_in_parallel = true;
     for (idx i = next_.fetch_add(1, std::memory_order_relaxed); i < nchunks_;
          i = next_.fetch_add(1, std::memory_order_relaxed)) {
       (*body_)(i, tid);
     }
+    t_in_parallel = false;
   }
 
   void worker_loop(int windex) {
     std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lk(mutex_);
     for (;;) {
-      work_cv_.wait(lk, [&] {
-        return stop_ || (generation_ != seen && windex < participants_);
+      spin_until([&] {
+        return generation_.load(std::memory_order_acquire) != seen ||
+               stop_.load(std::memory_order_relaxed);
       });
-      if (stop_) {
+      std::unique_lock<std::mutex> lk(mutex_);
+      work_cv_.wait(lk, [&] {
+        return stop_.load(std::memory_order_relaxed) ||
+               generation_.load(std::memory_order_relaxed) != seen;
+      });
+      if (stop_.load(std::memory_order_relaxed)) {
         return;
       }
-      seen = generation_;
+      seen = generation_.load(std::memory_order_relaxed);
+      // Not picked for this team, or woke after the chunks were all
+      // claimed (the caller may already have returned): wait for the next.
+      if (windex >= participants_ ||
+          next_.load(std::memory_order_relaxed) >= nchunks_) {
+        continue;
+      }
+      active_.fetch_add(1, std::memory_order_relaxed);
       lk.unlock();
-      t_in_parallel = true;
       drain(windex + 1);
-      t_in_parallel = false;
       lk.lock();
-      if (--remaining_ == 0) {
-        done_cv_.notify_all();
+      if (active_.fetch_sub(1, std::memory_order_release) == 1) {
+        done_cv_.notify_one();
       }
     }
   }
 
   std::mutex team_mutex_;
+  // mutex_ guards the region fields below and every change of active_,
+  // generation_ and stop_; the atomics let the spin loops read them
+  // without it.
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
   const std::function<void(idx, int)>* body_ = nullptr;
   std::atomic<idx> next_{0};
   idx nchunks_ = 0;
   idx participants_ = 0;
-  idx remaining_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
+  std::atomic<idx> active_{0};
+  std::atomic<std::uint64_t> generation_{0};
+  std::atomic<bool> stop_{false};
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace
 
+idx default_thread_count() noexcept {
+  // Shared hardened reader (see detail::env_knob): a malformed or absurd
+  // LAPACK90_NUM_THREADS falls back to 0 = "unset" rather than, e.g.,
+  // LONG_MAX truncated to a negative team size.
+  static const idx cached = [] {
+    const idx n = env_knob("LAPACK90_NUM_THREADS", idx{1} << 15, 0);
+    return n > 0 ? n : hardware_threads();
+  }();
+  return cached;
+}
+
+bool in_parallel_region() noexcept { return t_in_parallel; }
+
 void parallel_run(idx nchunks, idx nthreads,
-                  const std::function<void(idx, int)>& body) {
-  ThreadPool& pool = ThreadPool::instance();
+                  const std::function<void(idx, int)>& body) noexcept {
   if (hardware_threads() <= 1 || nthreads <= 1) {
     for (idx i = 0; i < nchunks; ++i) {
       body(i, 0);
     }
     return;
   }
-  pool.run(nchunks, nthreads, body);
+  ThreadPool::instance().run(nchunks, nthreads, body);
 }
-
-#endif  // LAPACK90_HAVE_OPENMP
 
 }  // namespace detail
 }  // namespace la

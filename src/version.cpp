@@ -13,7 +13,7 @@ namespace la {
 // (compile-time dispatch; see core/simd.hpp). It is the library build's view:
 // header-only kernels compiled into user TUs follow those TUs' flags. The
 // threads suffix names the parallel_for backend the runtime dispatches to
-// ("openmp", "std::thread", or "serial" on single-hardware-thread hosts).
+// ("std::thread", or "serial" on single-hardware-thread hosts).
 // The tune suffix reports where ilaenv's knob values come from right now:
 // "builtin", "file" (loaded tuning file), "api" (tune::install), with
 // "+env" appended when at least one LAPACK90_* knob variable pins a value

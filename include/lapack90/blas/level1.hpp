@@ -24,14 +24,31 @@ template <class T>
   return inc >= 0 ? x : x - static_cast<std::ptrdiff_t>(n - 1) * inc;
 }
 
+/// Scalar a*x + y rounded exactly like one lane of simd_native<T>::fma:
+/// a single rounding where the SIMD layer has a hardware FMA, mul-then-add
+/// otherwise. The vector kernels' scalar tails use it, so a tail element
+/// gets the bits a full-vector trip would have given it on every ISA.
+template <RealScalar T>
+[[nodiscard]] inline T simd_lane_fma(T a, T x, T y) noexcept {
+  if constexpr (simd_has_fma_v) {
+    return std::fma(a, x, y);
+  } else {
+    return a * x + y;
+  }
+}
+
 /// Unit-stride real axpy on la::simd: y += alpha*x, two vectors per trip.
-/// Shared by axpy and the gemv/symv column sweeps.
+/// Shared by axpy and the gemv/symv column sweeps. The remainder is a
+/// scalar loop, not a masked partial fma, and vectors shorter than one
+/// register never touch the vector unit: the short-vector case (panel
+/// solves, narrow tiles, n=8 batch entries) lives here, and on AVX-512 a
+/// masked store does not forward to the next column's load.
 template <RealScalar T>
 void axpy_contig(idx n, T alpha, const T* x, T* y) noexcept {
   using V = simd_native<T>;
   constexpr idx W = simd_width_v<T>;
   idx i = 0;
-  if constexpr (W > 1) {
+  if (W > 1 && n >= W) {
     const V va = V::broadcast(alpha);
     for (; i + 2 * W <= n; i += 2 * W) {
       V::fma(va, V::load(x + i), V::load(y + i)).store(y + i);
@@ -41,16 +58,9 @@ void axpy_contig(idx n, T alpha, const T* x, T* y) noexcept {
       V::fma(va, V::load(x + i), V::load(y + i)).store(y + i);
       i += W;
     }
-    // Masked tail: one partial fma instead of a scalar remainder loop —
-    // the short-vector case (panel solves, narrow tiles) lives here.
-    if (const int rem = static_cast<int>(n - i); rem > 0) {
-      V::fma(va, V::load_partial(x + i, rem), V::load_partial(y + i, rem))
-          .store_partial(y + i, rem);
-    }
-    return;
   }
   for (; i < n; ++i) {
-    y[i] += alpha * x[i];
+    y[i] = simd_lane_fma(alpha, x[i], y[i]);
   }
 }
 
@@ -59,18 +69,18 @@ void axpy_contig(idx n, T alpha, const T* x, T* y) noexcept {
 /// calls (bit-identical), but the shared column is loaded once per trip
 /// and the four independent chains fill the FMA ports — this is the inner
 /// kernel of the grouped trsm solve, where each chain alone is too short
-/// to cover the fma latency.
+/// to cover the fma latency. Scalar remainder, as in axpy_contig.
 template <RealScalar T>
 void axpy4_contig(idx n, const T* alpha, const T* x, T* y0, T* y1, T* y2,
                   T* y3) noexcept {
   using V = simd_native<T>;
   constexpr idx W = simd_width_v<T>;
-  if constexpr (W > 1) {
+  idx i = 0;
+  if (W > 1 && n >= W) {
     const V a0 = V::broadcast(alpha[0]);
     const V a1 = V::broadcast(alpha[1]);
     const V a2 = V::broadcast(alpha[2]);
     const V a3 = V::broadcast(alpha[3]);
-    idx i = 0;
     for (; i + W <= n; i += W) {
       const V vx = V::load(x + i);
       V::fma(a0, vx, V::load(y0 + i)).store(y0 + i);
@@ -78,34 +88,28 @@ void axpy4_contig(idx n, const T* alpha, const T* x, T* y0, T* y1, T* y2,
       V::fma(a2, vx, V::load(y2 + i)).store(y2 + i);
       V::fma(a3, vx, V::load(y3 + i)).store(y3 + i);
     }
-    if (const int rem = static_cast<int>(n - i); rem > 0) {
-      const V vx = V::load_partial(x + i, rem);
-      V::fma(a0, vx, V::load_partial(y0 + i, rem)).store_partial(y0 + i, rem);
-      V::fma(a1, vx, V::load_partial(y1 + i, rem)).store_partial(y1 + i, rem);
-      V::fma(a2, vx, V::load_partial(y2 + i, rem)).store_partial(y2 + i, rem);
-      V::fma(a3, vx, V::load_partial(y3 + i, rem)).store_partial(y3 + i, rem);
-    }
-    return;
   }
-  for (idx i = 0; i < n; ++i) {
+  for (; i < n; ++i) {
     const T xv = x[i];
-    y0[i] += alpha[0] * xv;
-    y1[i] += alpha[1] * xv;
-    y2[i] += alpha[2] * xv;
-    y3[i] += alpha[3] * xv;
+    y0[i] = simd_lane_fma(alpha[0], xv, y0[i]);
+    y1[i] = simd_lane_fma(alpha[1], xv, y1[i]);
+    y2[i] = simd_lane_fma(alpha[2], xv, y2[i]);
+    y3[i] = simd_lane_fma(alpha[3], xv, y3[i]);
   }
 }
 
 /// Unit-stride real dot on la::simd: four vector accumulators break the
 /// FMA dependency chain; lanes reduce once at the end. Shared by dotu/dotc
-/// and the transposed gemv column reduce.
+/// and the transposed gemv column reduce. Below one vector the accumulators
+/// would only reduce to +0, so short dots skip them (and the AVX-512
+/// spill-reduce) and go straight to the scalar loop: same bits.
 template <RealScalar T>
 [[nodiscard]] T dot_contig(idx n, const T* x, const T* y) noexcept {
   using V = simd_native<T>;
   constexpr idx W = simd_width_v<T>;
   T s(0);
   idx i = 0;
-  if constexpr (W > 1) {
+  if (W > 1 && n >= W) {
     V s0 = V::zero(), s1 = V::zero(), s2 = V::zero(), s3 = V::zero();
     for (; i + 4 * W <= n; i += 4 * W) {
       s0 = V::fma(V::load(x + i), V::load(y + i), s0);
@@ -125,14 +129,15 @@ template <RealScalar T>
 }
 
 /// Four-column fused axpy: y += t0*c0 + t1*c1 + t2*c2 + t3*c3 in one pass
-/// over y — the gemv NoTrans register-blocked column sweep.
+/// over y — the gemv NoTrans register-blocked column sweep. Vectors shorter
+/// than one register stay scalar, as in axpy_contig.
 template <RealScalar T>
 void axpy4_contig(idx n, T t0, const T* c0, T t1, const T* c1, T t2,
                   const T* c2, T t3, const T* c3, T* y) noexcept {
   using V = simd_native<T>;
   constexpr idx W = simd_width_v<T>;
   idx i = 0;
-  if constexpr (W > 1) {
+  if (W > 1 && n >= W) {
     const V v0 = V::broadcast(t0), v1 = V::broadcast(t1);
     const V v2 = V::broadcast(t2), v3 = V::broadcast(t3);
     for (; i + W <= n; i += W) {
@@ -151,7 +156,8 @@ void axpy4_contig(idx n, T t0, const T* c0, T t1, const T* c1, T t2,
 
 /// Fused unit-stride sweep y += t1*col; return dot(col, x) — one pass over
 /// col for the symv/hemv update+reduce. Real types only (complex keeps the
-/// scalar fused loop in level2).
+/// scalar fused loop in level2). Short sweeps skip the accumulators, as in
+/// dot_contig.
 template <RealScalar T>
 [[nodiscard]] T fused_axpy_dot_contig(idx len, T t1, const T* col, T* y,
                                       const T* x) noexcept {
@@ -159,7 +165,7 @@ template <RealScalar T>
   constexpr idx W = simd_width_v<T>;
   T s(0);
   idx i = 0;
-  if constexpr (W > 1) {
+  if (W > 1 && len >= W) {
     const V vt1 = V::broadcast(t1);
     V s0 = V::zero(), s1 = V::zero();
     for (; i + 2 * W <= len; i += 2 * W) {

@@ -62,7 +62,10 @@ template <Scalar T>
           _mm512_storeu_pd(rowsum + i0,
                            _mm512_add_pd(_mm512_loadu_pd(rowsum + i0), av));
         }
-        _mm256_storeu_ps(sc + i0, _mm512_cvtpd_ps(v));
+        // All-lanes maskz form: the plain _mm512_cvtpd_ps routes an
+        // undefined operand through the gcc 12 intrinsic header, which
+        // trips -Wmaybe-uninitialized at every inline site.
+        _mm256_storeu_ps(sc + i0, _mm512_maskz_cvtpd_ps(0xFF, v));
       }
 #elif defined(LAPACK90_SIMD_AVX2)
       const __m256d vmax = _mm256_set1_pd(rmax);

@@ -5,11 +5,11 @@
 // masked-tail operations; the native register width for the translation unit
 // is `simd_width_v<T>`. Specializations lower to AVX-512F, AVX2+FMA, SSE2 or
 // NEON intrinsics when the compiler targets them (-march=native via the
-// LAPACK90_NATIVE option, or any explicit -m flags); every other (T, W)
-// combination falls back to a plain array the optimizer can still
-// auto-vectorize. The pair-wise operations (swap_pairs, neg_evens) exist for
-// the complex micro-kernels, which keep data interleaved [re im re im ...]
-// and synthesize the complex product from two real fmas.
+// LAPACK90_NATIVE option, on by default, or any explicit -m flags); every
+// other (T, W) combination falls back to a plain array the optimizer can
+// still auto-vectorize. The pair-wise operations (swap_pairs, neg_evens)
+// exist for the complex micro-kernels, which keep data interleaved
+// [re im re im ...] and synthesize the complex product from two real fmas.
 //
 // Compile-time ISA selection keeps the header freestanding: no runtime
 // dispatch, no function-multiversioning, no dependency beyond <immintrin.h>
@@ -34,6 +34,9 @@
     (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
 #define LAPACK90_SIMD_SSE2 1
 #include <emmintrin.h>
+#if defined(__FMA__)
+#include <immintrin.h>  // _mm_fmadd_pd/_ps (e.g. -mfma without -mavx2)
+#endif
 #elif defined(__ARM_NEON) || defined(__aarch64__)
 #define LAPACK90_SIMD_NEON 1
 #include <arm_neon.h>

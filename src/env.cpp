@@ -155,9 +155,17 @@ constexpr std::array<Defaults, kRoutines> kDefaults = {{
 // compile-time per-ISA constant in blas/level3.hpp); 256 is where a single
 // dgetrf stops being "tiny" for the batch scheduler; the refinement knobs
 // follow the reference DSGESV (ITERMAX=30) and the measured demote/refine
-// round-trip break-even; TileSize 128 keeps a complex<double> tile pair in
-// L2; TileScheduler 3 = task-DAG with lookahead. The tuning file replaces
-// these per machine signature — see include/lapack90/tune/tune.hpp.
+// round-trip break-even; TileScheduler 3 = task-DAG with lookahead. The
+// tuning file replaces these per machine signature — see
+// include/lapack90/tune/tune.hpp.
+//
+// TileSize is per routine. LU and Cholesky tile in 2D: an nb=128 tile pair
+// of complex<double> stays in L2, and their times are flat between 64 and
+// 128. QR tiles are full-height column tiles, so each step's panel
+// (geqr2 + larft down all remaining rows) sits serially on the critical
+// path and only n/nb column tiles update in parallel. Halving the edge to
+// 64 halves that panel chain and doubles the parallelism: geqrf 2048x1024
+// on a 4-core AVX-512 Xeon, 4 workers, 90 ms at 64 vs 164 ms at 128.
 constexpr idx kGemmMCDefault = 128;
 constexpr idx kGemmKCDefault = 256;
 constexpr idx kGemmNCDefault = 512;
@@ -165,6 +173,7 @@ constexpr idx kBatchGrainDefault = 256;
 constexpr idx kIrMaxIterDefault = 30;
 constexpr idx kIrCutoffDefault = 64;
 constexpr idx kTileNbDefault = 128;
+constexpr idx kTileNbQrDefault = 64;
 constexpr idx kTileSchedulerDefault = 3;
 // Serving defaults: 4096 in-flight entries bounds a server's memory and
 // tail latency without starving the load generator's saturation runs; a
@@ -201,7 +210,7 @@ idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
     case EnvSpec::IterRefineCutoff:
       return kIrCutoffDefault;
     case EnvSpec::TileSize:
-      return kTileNbDefault;
+      return routine == EnvRoutine::geqrf ? kTileNbQrDefault : kTileNbDefault;
     case EnvSpec::TileScheduler:
       return kTileSchedulerDefault;
     case EnvSpec::ServeQueueDepth:

@@ -604,6 +604,7 @@ TEST(TiledEnvTest, TileKnobDefaultsAndOverrides) {
   const idx prev = set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, 48);
   EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::getrf, 0), 48);
   EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::potrf, 0), 128);
+  EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::geqrf, 0), 64);
   set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, prev);
   EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::getrf, 0), 128);
   // Scheduler: task-DAG by default, round-trips through the typed setter.

@@ -10,6 +10,7 @@
 
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/parallel.hpp"
+#include "lapack90/core/simd.hpp"
 #include "lapack90/version.hpp"
 
 namespace la::test {
@@ -208,6 +209,31 @@ TEST(VersionTest, ReportsSimdIsaAndThreadBackend) {
               std::strcmp(b, "serial") == 0)
       << b;
 }
+
+TEST(VersionTest, HeaderIsaMatchesLibraryIsa) {
+  // The library's kernel flags are PUBLIC compile options of lapack90, so
+  // this TU's header kernels lower to the ISA liblapack90.a reports.
+  const std::string v = version();
+  const auto at = v.find("simd: ");
+  ASSERT_NE(at, std::string::npos) << v;
+  const auto end = v.find(',', at);
+  ASSERT_NE(end, std::string::npos) << v;
+  EXPECT_EQ(v.substr(at + 6, end - at - 6), simd_isa_name()) << v;
+}
+
+#if defined(LAPACK90_TESTS_NATIVE_ISA) && defined(__x86_64__)
+TEST(VersionTest, NativeBuildLowersToWidestHostIsa) {
+  // Set by CMake when -march=native applied: a silent fallback to the
+  // baseline ISA (SSE2) on a wider host fails here.
+  const char* want = "sse2";
+  if (__builtin_cpu_supports("avx512f")) {
+    want = "avx512f";
+  } else if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+    want = "avx2+fma";
+  }
+  EXPECT_STREQ(simd_isa_name(), want);
+}
+#endif
 
 }  // namespace
 }  // namespace la::test

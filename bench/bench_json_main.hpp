@@ -5,7 +5,6 @@
 // without scraping the console table.
 //
 // Beyond plain benchmark runs the entry point understands:
-//   --tune [tune args...]   run the la::tune sweep (see tune::tune_main)
 //   --check BASELINE.json   perf-regression gate: re-measure this binary's
 //                           curated subset and compare (see perf_check.hpp)
 //
@@ -33,19 +32,14 @@ namespace la::bench {
 
 /// Stamp the JSON context with everything needed to tell two BENCH_*.json
 /// trajectories apart after the fact: the build's ISA, the machine
-/// signature the run happened on, where the tuning values came from, and
-/// any LAPACK90_* knob variables that pinned values during the run.
+/// signature the run happened on, and any LAPACK90_* knob variables that
+/// pinned values during the run.
 inline void add_machine_context() {
   benchmark::AddCustomContext("lapack90_version", la::version());
   benchmark::AddCustomContext("simd_isa", la::simd_isa_name());
   benchmark::AddCustomContext("thread_backend", la::thread_backend_name());
   benchmark::AddCustomContext("machine_signature",
                               la::tune::machine_signature().str());
-  benchmark::AddCustomContext("tune_source", la::tune::source());
-  const char* tf = la::tune::active_file();
-  if (tf != nullptr && *tf != '\0') {
-    benchmark::AddCustomContext("tune_file", tf);
-  }
   std::string pins;
   for (int s = 1; s <= kEnvSpecCount; ++s) {
     const auto spec = static_cast<EnvSpec>(s);
@@ -127,16 +121,6 @@ inline int run_perf_check(const char* argv0, const char* baseline_path,
 inline int run_with_json_default(int argc, char** argv,
                                  const char* default_out,
                                  const char* check_filter = nullptr) {
-  if (argc > 1 && std::strcmp(argv[1], "--tune") == 0) {
-    // Forward the remaining args: `bench_x --tune --budget 20` behaves
-    // exactly like `lapack90_tune --budget 20`.
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (int i = 2; i < argc; ++i) {
-      args.push_back(argv[i]);
-    }
-    return la::tune::tune_main(static_cast<int>(args.size()), args.data());
-  }
   add_machine_context();
   if (argc > 1 && std::strcmp(argv[1], "--check") == 0) {
     if (check_filter == nullptr) {

@@ -13,7 +13,7 @@
 //     net::Listener (transport 1), with client-observed latency. The
 //     net-vs-in-process ratio is a tcp row's jobs/s over the inproc row's.
 //     The server runs on defaults, so the LAPACK90_SERVE_* variables apply:
-//       LAPACK90_SERVE_SHARDS=4 bench_serve --benchmark_filter=Windowed
+//       LAPACK90_SERVE_BATCH=16 bench_serve --benchmark_filter=Windowed
 //
 // p50/p95/p99 and jobs/s land in the JSON counters (BENCH_serve.json). A
 // rejected or failed job fails its arm, and a failed arm fails the run.

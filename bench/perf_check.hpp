@@ -11,9 +11,13 @@
 //     of --benchmark_repetitions=3. Best-of-fresh vs median-of-baseline
 //     deliberately biases against false alarms on noisy shared machines.
 //   * Noise floor: entries faster than 50 us are skipped (too jittery for
-//     a 10% gate), as is anything when the machine signatures differ —
-//     the gate SKIPS (exit 77) rather than comparing across machines, and
-//     prints the command that re-baselines on this one.
+//     a 10% gate).
+//   * Machines: the gate compares the ISA and worker-count fields of the
+//     machine signature ("<isa>-...-nt:<k>"). When either differs it SKIPS
+//     (exit 77) rather than comparing across machines, and prints the
+//     command that re-baselines on this one. The L1/L2/L3 sizes stay in
+//     the signature as information: they differ between VMs of one class,
+//     which would otherwise skip the gate on every new host.
 //   * An errored fresh entry (the arm called SkipWithError: google-benchmark
 //     reports it with "error_occurred": true and real_time 0) FAILS the
 //     gate; it is never a fast sample or a skip.
@@ -214,20 +218,33 @@ inline std::map<std::string, Metric> aggregate(const BenchFile& file,
   return out;
 }
 
-/// Whether `base` was measured on this machine: 0 when comparable, else 77
-/// (skip) after printing the signature diff and the re-baseline command.
+/// The fields of a machine signature the gate compares: "<isa>-nt:<k>".
+/// A string without the canonical "-l1:" and "-nt:" fields is returned
+/// whole, so it only ever matches itself.
+inline std::string signature_gate_key(const std::string& sig) {
+  const auto l1 = sig.find("-l1:");
+  const auto nt = sig.rfind("-nt:");
+  if (l1 == std::string::npos || nt == std::string::npos || nt < l1) {
+    return sig;
+  }
+  return sig.substr(0, l1) + sig.substr(nt);
+}
+
+/// Whether `base` was measured on a comparable machine (same ISA and worker
+/// count): 0 when comparable, else 77 (skip) after printing the signature
+/// diff and the re-baseline command.
 inline int check_signature(const BenchFile& base, const char* argv0,
                            const char* baseline_path) {
   const std::string here = la::tune::machine_signature().str();
   const auto sig = base.context.find("machine_signature");
   const std::string there =
       sig == base.context.end() ? "(none: pre-1.5 format)" : sig->second;
-  if (there == here) {
+  if (signature_gate_key(there) == signature_gate_key(here)) {
     return 0;
   }
   std::printf(
-      "perf gate: baseline machine differs, skipping\n  baseline: %s\n  "
-      "here:     %s\n  re-baseline: %s --benchmark_out=%s "
+      "perf gate: baseline ISA or worker count differs, skipping\n"
+      "  baseline: %s\n  here:     %s\n  re-baseline: %s --benchmark_out=%s "
       "--benchmark_repetitions=5\n",
       there.c_str(), here.c_str(), argv0, baseline_path);
   return 77;

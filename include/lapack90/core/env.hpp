@@ -11,15 +11,12 @@
 //   1. environment variable (LAPACK90_GEMM_KC, LAPACK90_TILE_NB, ...) — a
 //      deployment-level pin that beats everything programmatic;
 //   2. set_env_override — the process-wide programmatic override;
-//   3. tuning file — machine-signature-keyed values measured by the
-//      la::tune sweep engine, lazily loaded on the first ilaenv call
-//      (see include/lapack90/tune/tune.hpp for the format and paths);
-//   4. builtin default — the hand-measured constants below.
+//   3. builtin default — the hand-measured constants in src/env.cpp.
 //
 // EnvSpec::Threads is the one exception: it keeps the historical
 // override-beats-environment order (set_num_threads is the API every bench
 // and test uses to force a team size, and LAPACK90_NUM_THREADS is already
-// merely the *default* source) and never reads the tuning file.
+// merely the *default* source).
 #pragma once
 
 #include "lapack90/core/types.hpp"
@@ -70,13 +67,6 @@ enum class EnvSpec : int {
                        ///< flushed as soon as it holds this many entries;
                        ///< 1 disables coalescing (per-job execution)
                        ///< (extension; LAPACK90_SERVE_BATCH)
-  ServeShards = 16,    ///< serving subsystem dispatcher shard count: jobs
-                       ///< are spread round-robin over this many dispatcher
-                       ///< threads, each with its own queue and coalescing
-                       ///< groups, so multi-core hosts don't serialize on
-                       ///< one coalescer; 1 (the default) preserves the
-                       ///< single-dispatcher behavior exactly (extension;
-                       ///< LAPACK90_SERVE_SHARDS)
 };
 
 /// Routine families with distinct tuning entries.
@@ -96,7 +86,7 @@ enum class EnvRoutine : int {
 
 /// Extent of the (spec, routine) table: specs are 1-based ISPEC values;
 /// the unused ISPEC 2 keeps its row and is never a valid slot.
-inline constexpr int kEnvSpecCount = 16;
+inline constexpr int kEnvSpecCount = 15;
 inline constexpr int kEnvRoutineCount = static_cast<int>(EnvRoutine::count_);
 
 namespace detail {
@@ -116,7 +106,7 @@ namespace detail {
 [[nodiscard]] idx env_knob(const char* name, idx max_value,
                            idx fallback) noexcept;
 
-/// True when (spec, routine) indexes a real slot of the tuning table —
+/// True when (spec, routine) indexes a real slot of the override table —
 /// the guard that keeps a cast-from-integer enum from walking off the
 /// override array. Everything that writes a slot routes through this.
 [[nodiscard]] bool valid_env_slot(EnvSpec spec, EnvRoutine routine) noexcept;
@@ -127,30 +117,24 @@ namespace detail {
          static_cast<int>(routine);
 }
 
-/// Largest legal value per spec: the same clamp the env readers, the
-/// tuning-file parser, and set_env_override all apply (e.g. TileScheduler
-/// at 3, thread counts at 2^15, block sizes at 2^20).
+/// Largest legal value per spec: the same clamp the env readers and
+/// set_env_override both apply (e.g. TileScheduler at 3, thread counts at
+/// 2^15, block sizes at 2^20).
 [[nodiscard]] idx env_spec_max(EnvSpec spec) noexcept;
 
 /// Environment variable carrying this spec's pin, or nullptr when the spec
-/// has none (BlockSize/Crossover are builtin/tuning-file only;
-/// Threads resolves through the parallel runtime instead).
+/// has none (BlockSize/Crossover are builtin/override only; Threads
+/// resolves through the parallel runtime instead).
 [[nodiscard]] const char* env_knob_name(EnvSpec spec) noexcept;
 
 /// Re-read every LAPACK90_* knob variable into the process cache. The cache
 /// is populated once on first use; this hook exists for the tests (which
-/// setenv/unsetenv around precedence checks) and the tune CLI.
+/// setenv/unsetenv around precedence checks).
 void refresh_env_cache() noexcept;
 
 /// True when at least one knob environment variable is set and valid —
-/// feeds the "tune: env..." component of la::version().
+/// feeds the "knobs: builtin+env" component of la::version().
 [[nodiscard]] bool any_env_knob_set() noexcept;
-
-/// Tuning-file layer lookup (implemented in src/tune.cpp): the value for
-/// this slot from the lazily-loaded, machine-signature-keyed tuning table,
-/// or 0 when no table is loaded / the slot is untuned. Never throws; never
-/// consulted for EnvSpec::Threads.
-[[nodiscard]] idx tuned_value(EnvSpec spec, EnvRoutine routine) noexcept;
 
 }  // namespace detail
 

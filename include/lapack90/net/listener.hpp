@@ -88,7 +88,7 @@ class Listener {
   /// The knob values resolved at construction.
   [[nodiscard]] ListenerConfig config() const noexcept;
 
-  /// The embedded compute server (stats, shard_stats, wait_idle).
+  /// The embedded compute server (stats, wait_idle).
   [[nodiscard]] serve::Server& server() noexcept;
 
   [[nodiscard]] ListenerStats stats() const;

@@ -1,8 +1,7 @@
 // lapack90/serve/server.hpp
 //
-// The serving engine. One Server owns ServeShards dispatcher threads
-// (default 1), each running the three-stage pipeline over its own queue
-// and coalescing groups; jobs are spread round-robin over the shards:
+// The serving engine. One Server owns one dispatcher thread running the
+// three-stage pipeline over its queue and coalescing groups:
 //
 //   admission  — a bounded MPMC submission queue. The depth bound counts
 //                every admitted-but-uncompleted problem (queued,
@@ -32,9 +31,8 @@
 //
 // Knobs resolve through ilaenv at construction: EnvSpec::ServeQueueDepth
 // (LAPACK90_SERVE_QUEUE), ServeFlushUs (LAPACK90_SERVE_FLUSH_US),
-// ServeBatchMax (LAPACK90_SERVE_BATCH), ServeShards
-// (LAPACK90_SERVE_SHARDS); a nonzero Config field beats the environment
-// for that server instance.
+// ServeBatchMax (LAPACK90_SERVE_BATCH); a nonzero Config field beats the
+// environment for that server instance.
 #pragma once
 
 #include <algorithm>
@@ -53,15 +51,11 @@
 namespace la::serve {
 
 /// Per-server knob overrides; 0 = resolve through ilaenv (env var >
-/// set_env_override > tuning file > builtin).
+/// set_env_override > builtin).
 struct Config {
   idx queue_depth = 0;  ///< max in-flight entries (ServeQueueDepth)
   idx flush_us = 0;     ///< coalescing deadline, microseconds (ServeFlushUs)
   idx batch_max = 0;    ///< max entries per coalesced flush (ServeBatchMax)
-  idx shards = 0;       ///< dispatcher shard count (ServeShards); jobs are
-                        ///< spread round-robin over the shards, each with
-                        ///< its own queue + coalescing groups. 1 preserves
-                        ///< the single-dispatcher behavior exactly.
 };
 
 class Server {
@@ -83,13 +77,8 @@ class Server {
   /// dispatcher. Idempotent; the destructor calls it.
   void shutdown();
 
-  /// Statistics snapshot / reset for this server. stats() merges every
-  /// dispatcher shard; shard_stats(i) reads one shard (i in
-  /// [0, shard_count())) so tests and dashboards can see the round-robin
-  /// spread.
+  /// Statistics snapshot / reset for this server.
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] idx shard_count() const noexcept;
-  [[nodiscard]] Stats shard_stats(idx shard) const;
   void reset_stats();
 
   // -- single-problem submissions -----------------------------------------
@@ -201,8 +190,8 @@ class Server {
 
   /// Type-erased core used by the typed methods above and by transport
   /// front ends (la::net) that decode routine/dtype at runtime: stamps the
-  /// shared completion block, admits or rejects, enqueues on a dispatcher
-  /// shard. The units' routine/dtype/pointer fields must be fully
+  /// shared completion block, admits or rejects, enqueues on the
+  /// dispatcher. The units' routine/dtype/pointer fields must be fully
   /// populated; ownership rules match the typed methods. A mixed_gesv unit
   /// whose dtype has no lower working precision completes with per-entry
   /// INFO = kInfoUnsupported instead of executing.

@@ -1,57 +1,23 @@
 // lapack90/tune/tune.hpp
 //
-// The self-tuning runtime (la::tune): measures the ilaenv knob space on
-// the deployment machine and persists the result so performance travels
-// beyond the box the builtin constants were measured on (the Armadillo
-// argument: adaptation to the platform, not peak numbers on the dev box,
-// is what ships fast linear algebra). Three layers:
+// The machine signature: the ISA the library lowered to, the L1d/L2/L3
+// data cache sizes and the default worker count, in one canonical string.
+// Bench reports stamp it into their JSON context, and the perf gate
+// (bench/perf_check.hpp) compares a baseline's ISA and worker count
+// against it before gating; the cache sizes are recorded as information.
 //
-//   * Machine signature — ISA the library lowered to + L1d/L2/L3 data
-//     cache sizes + default worker count. Tuning results are only ever
-//     applied on the signature they were measured on.
-//
-//   * Tuning table + file — a (spec, routine) -> value map serialized to
-//     a versioned text file. ilaenv consults the loaded table below env
-//     vars and set_env_override but above the builtin defaults (see
-//     core/env.hpp). The default path is
-//         $XDG_CACHE_HOME|~/.cache /lapack90/tune-<signature>.conf
-//     overridable via LAPACK90_TUNE_FILE (the sentinel value "off"
-//     disables file loading entirely — the tests pin this). Loading is
-//     lazy (first ilaenv call), allocation-free, and never throws: a
-//     malformed line is skipped, a wrong signature or bad header drops
-//     the whole file, and the builtins remain in effect.
-//
-//   * Sweep engine — timed coordinate-descent micro-sweeps over the gemm
-//     cache blocks and crossover, the factorization block/tile sizes, the
-//     batch grain and the iterative-refinement cutoff, warm-started from
-//     the currently effective values so a full tune stays inside its
-//     time budget (default 60 s). Run via the `lapack90_tune` CLI or
-//     `bench_* --tune`.
-//
-// File format (text, one knob per line):
-//
-//     lapack90-tune 1
-//     signature avx2+fma-l1:32768-l2:1048576-l3:33554432-nt:8
-//     # measured by lapack90_tune; <routine> <spec> <value>
-//     gemm CacheBlockK 192
-//     getrf TileSize 160
-//
-// EnvSpec::Threads never appears in a tuning file (team size is a
-// deployment decision, not a measurable constant of the machine).
+// ilaenv's knob values are not tuned per machine: they resolve env var >
+// set_env_override > builtin (see core/env.hpp).
 #pragma once
 
-#include <array>
 #include <string>
 
-#include "lapack90/core/env.hpp"
+#include "lapack90/core/types.hpp"
 
 namespace la::tune {
 
-/// Current tuning-file format version (the `lapack90-tune <N>` header).
-inline constexpr int kFileFormatVersion = 1;
-
-/// What the deployment machine looks like to the tuner. Cache sizes are
-/// bytes, 0 when the platform does not report a level.
+/// What the deployment machine looks like. Cache sizes are bytes, 0 when
+/// the platform does not report a level.
 struct MachineSignature {
   const char* isa;  ///< la::simd_isa_name() of the library build
   long l1d;         ///< L1 data cache size in bytes
@@ -59,137 +25,15 @@ struct MachineSignature {
   long l3;          ///< L3 cache size in bytes
   idx threads;      ///< detail::default_thread_count()
 
-  /// Canonical form, used both inside the file and in the default file
-  /// name: "<isa>-l1:<b>-l2:<b>-l3:<b>-nt:<k>".
+  /// Canonical form: "<isa>-l1:<b>-l2:<b>-l3:<b>-nt:<k>".
   [[nodiscard]] std::string str() const;
 };
 
 /// Probe the current machine (ISA + sysconf cache geometry + workers).
 [[nodiscard]] MachineSignature machine_signature() noexcept;
 
-/// The tuning file ilaenv will look for: $LAPACK90_TUNE_FILE when set
-/// (empty result when it is the sentinel "off"), else
-/// $XDG_CACHE_HOME|$HOME/.cache /lapack90/tune-<signature>.conf.
+/// Always "": no tuning file is read. Kept for callers that report which
+/// file was in effect; an empty path reads as "off".
 [[nodiscard]] std::string default_tune_file();
-
-/// In-memory tuning table: one optional value per (spec, routine) slot,
-/// 0 = untuned (builtin default applies).
-struct TuningTable {
-  std::array<idx, kEnvSpecCount * kEnvRoutineCount> values{};
-  std::string signature;  ///< signature the values were measured on
-
-  [[nodiscard]] idx get(EnvSpec spec, EnvRoutine routine) const noexcept {
-    if (!detail::valid_env_slot(spec, routine)) {
-      return 0;
-    }
-    const int slot = detail::env_slot(spec, routine);
-    // Redundant with valid_env_slot, but locally provable for the
-    // optimizer's bounds analysis (valid_env_slot is out-of-line).
-    if (slot < 0 || slot >= static_cast<int>(values.size())) {
-      return 0;
-    }
-    return values[static_cast<std::size_t>(slot)];
-  }
-  /// Stores `value` after the same validation as set_env_override;
-  /// out-of-range pairs/values are dropped. Returns true when stored.
-  bool set(EnvSpec spec, EnvRoutine routine, idx value) noexcept;
-  [[nodiscard]] bool empty() const noexcept;
-};
-
-enum class LoadStatus {
-  Loaded,          ///< header, signature and at least the header parsed
-  NoFile,          ///< path missing/unreadable (or loading disabled)
-  BadHeader,       ///< not a lapack90-tune file / unsupported version
-  WrongSignature,  ///< valid file measured on a different machine
-};
-
-/// Extra detail from a load: how many knob lines were applied and how
-/// many were skipped as malformed/unknown/out-of-range.
-struct LoadInfo {
-  int applied = 0;
-  int skipped = 0;
-};
-
-/// Parse `path` into `out`. `require_signature_match` (the default)
-/// rejects files whose signature line differs from machine_signature().
-/// Parse problems never throw: malformed knob lines are counted in
-/// info->skipped and skipped; header/signature problems return the
-/// corresponding status with `out` untouched.
-LoadStatus load_file(const std::string& path, TuningTable& out,
-                     LoadInfo* info = nullptr,
-                     bool require_signature_match = true);
-
-/// Write `table` to `path` (parent directories are created). The
-/// signature written is table.signature when set, else the current
-/// machine's. Returns false on any I/O failure.
-bool save_file(const std::string& path, const TuningTable& table);
-
-/// Install `table` as the process tuning layer (between set_env_override
-/// and the builtins). Marks the tuning source "api".
-void install(const TuningTable& table) noexcept;
-
-/// load_file + install; on success the source is "file" and active_file()
-/// reports `path`.
-LoadStatus load_and_install(const std::string& path, LoadInfo* info = nullptr);
-
-/// Drop every loaded/installed tuning value — the builtin defaults (and
-/// any env vars / overrides) are back in effect immediately.
-void clear() noexcept;
-
-/// Where the active tuning values come from: "builtin", "file" or "api".
-/// (la::version() additionally folds in whether env-var pins are set.)
-[[nodiscard]] const char* source() noexcept;
-
-/// Path of the tuning file that was actually loaded (lazily or via
-/// load_and_install), or "" when none.
-[[nodiscard]] const char* active_file() noexcept;
-
-// ---------------------------------------------------------------------------
-// Sweep engine
-// ---------------------------------------------------------------------------
-
-/// Knobs for run_sweep. The problem sizes exist so the tests can run a
-/// miniature sweep; the defaults are sized for a real tune.
-struct SweepOptions {
-  double budget_seconds = 60.0;  ///< hard deadline; later stages degrade
-  int reps = 2;                  ///< best-of repetitions per candidate
-  bool verbose = true;           ///< per-knob progress on stdout
-  idx gemm_n = 640;              ///< gemm sweep problem size
-  idx factor_n = 512;            ///< fork-join BlockSize sweep size
-  idx tile_n = 768;              ///< tiled TileSize sweep size
-  idx headline_n = 1024;         ///< tuned-vs-builtin verification size
-                                 ///< (0 skips the verification pass)
-};
-
-/// What a sweep measured, for reporting. GFLOP/s are double precision.
-struct SweepOutcome {
-  TuningTable table;
-  double builtin_dgemm_gflops = 0.0;
-  double tuned_dgemm_gflops = 0.0;
-  double builtin_dgetrf_gflops = 0.0;
-  double tuned_dgetrf_gflops = 0.0;
-  double seconds = 0.0;  ///< wall clock the sweep actually took
-};
-
-/// Run the coordinate-descent sweep on this machine. Existing overrides
-/// are saved and restored; knobs pinned by environment variables are
-/// honored (and skipped — the pin would mask the candidate anyway).
-/// The result is NOT installed or saved; see tune_main / install.
-SweepOutcome run_sweep(const SweepOptions& options = {});
-
-/// CLI entry shared by the lapack90_tune binary and `bench_* --tune`:
-///   [--out PATH] [--budget SECONDS] [--dry-run] [--quiet]
-/// Sweeps, prints the table, saves to PATH (default default_tune_file()),
-/// reloads through the file layer and reports the tuned-vs-builtin
-/// headline. Returns a process exit code.
-int tune_main(int argc, char** argv);
-
-namespace detail {
-
-/// Re-arm the lazy first-touch load and drop any loaded table — test-only
-/// (not safe against concurrent install/clear, which tests serialize).
-void reset_first_touch_for_testing() noexcept;
-
-}  // namespace detail
 
 }  // namespace la::tune

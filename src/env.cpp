@@ -1,9 +1,8 @@
 // ILAENV-analog tuning tables — see include/lapack90/core/env.hpp.
 //
 // Resolution order for every spec except Threads: environment variable >
-// set_env_override > tuning file (la::tune, lazily loaded) > builtin.
-// Threads keeps override > environment default and never reads the
-// tuning file (set_num_threads is the team-size forcing API).
+// set_env_override > builtin. Threads keeps override > environment
+// default (set_num_threads is the team-size forcing API).
 
 #include "lapack90/core/env.hpp"
 
@@ -64,8 +63,6 @@ idx env_spec_max(EnvSpec spec) noexcept {
     case EnvSpec::ServeQueueDepth:
     case EnvSpec::ServeBatchMax:
       return idx{1} << 20;
-    case EnvSpec::ServeShards:
-      return idx{1} << 8;  // dispatcher threads, not matrix dimensions
     case EnvSpec::Crossover:
     case EnvSpec::CacheBlockM:
     case EnvSpec::CacheBlockK:
@@ -103,8 +100,6 @@ const char* env_knob_name(EnvSpec spec) noexcept {
       return "LAPACK90_SERVE_FLUSH_US";
     case EnvSpec::ServeBatchMax:
       return "LAPACK90_SERVE_BATCH";
-    case EnvSpec::ServeShards:
-      return "LAPACK90_SERVE_SHARDS";
     case EnvSpec::BlockSize:
     case EnvSpec::Crossover:
     case EnvSpec::Threads:  // resolved by the parallel runtime instead
@@ -133,8 +128,8 @@ struct Defaults {
 // trailing updates carry enough flops — on the CI box (one core, 105 MB
 // L3 that keeps level-2 streaming unusually competitive) blocked gehrd
 // crosses between n=128 and 256, sytrd and gebrd between 256 and 512.
-// Machines with ordinary cache hierarchies cross earlier; run the
-// la::tune sweep (lapack90_tune) or set_env_override if tuning matters.
+// Machines with ordinary cache hierarchies cross earlier; pin the
+// crossover with set_env_override where that matters.
 constexpr std::array<Defaults, kRoutines> kDefaults = {{
     {64, 128},  // getrf
     {64, 128},  // potrf
@@ -156,8 +151,9 @@ constexpr std::array<Defaults, kRoutines> kDefaults = {{
 // dgetrf stops being "tiny" for the batch scheduler; the refinement knobs
 // follow the reference DSGESV (ITERMAX=30) and the measured demote/refine
 // round-trip break-even; TileScheduler 3 = task-DAG with lookahead. The
-// tuning file replaces these per machine signature — see
-// include/lapack90/tune/tune.hpp.
+// cache blocks are fixed rather than derived from the machine: on a 4-core
+// AVX-512 Xeon, five MC/KC/NC settings from 128/256/512 to 384/256/4096
+// all timed n=1024 dgemm inside one setting's own run-to-run spread.
 //
 // TileSize is per routine. LU and Cholesky tile in 2D: an nb=128 tile pair
 // of complex<double> stays in L2, and their times are flat between 64 and
@@ -183,10 +179,6 @@ constexpr idx kTileSchedulerDefault = 3;
 constexpr idx kServeQueueDefault = 4096;
 constexpr idx kServeFlushUsDefault = 200;
 constexpr idx kServeBatchMaxDefault = 64;
-// One dispatcher shard by default: multi-shard dispatch only pays when
-// several cores contend on a single coalescer thread, and 1 keeps the
-// PR-8 single-dispatcher behavior bit-identical.
-constexpr idx kServeShardsDefault = 1;
 
 idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
   const Defaults& d = kDefaults[static_cast<int>(routine)];
@@ -219,15 +211,13 @@ idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
       return kServeFlushUsDefault;
     case EnvSpec::ServeBatchMax:
       return kServeBatchMaxDefault;
-    case EnvSpec::ServeShards:
-      return kServeShardsDefault;
   }
   return 1;
 }
 
 // Per-spec cache of the LAPACK90_* knob variables, 0 = unset or invalid.
 // Populated once on first use through the hardened env_knob reader;
-// detail::refresh_env_cache() re-reads for the tests and the tune CLI.
+// detail::refresh_env_cache() re-reads for the tests.
 struct EnvVarCache {
   std::array<std::atomic<idx>, kSpecs> value{};
 };
@@ -295,8 +285,6 @@ idx ilaenv(EnvSpec spec, EnvRoutine routine, idx n) noexcept {
     v = ev;  // deployment pin: the env var beats everything programmatic
   } else if (ov > 0) {
     v = ov;
-  } else if (const idx tv = detail::tuned_value(spec, routine); tv > 0) {
-    v = tv;
   } else {
     v = builtin_value(spec, routine);
   }

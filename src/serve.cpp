@@ -1,29 +1,20 @@
 // la::serve engine — see include/lapack90/serve/server.hpp for the
 // pipeline contract (admission -> coalesce -> execute).
 //
-// Threading model. Each Server owns ServeShards dispatcher threads
-// ("shards"), each with its own submission queue and coalescing groups;
-// a job's units all land on one shard (round-robin per job), so units of
-// one job stay contiguous within that shard's flushes. Clients only touch
-// the global admission mutex and the per-job promise. Each shard's
-// dispatcher is the sole executor for its queue: it pops everything
-// available, routes units into dtype/routine-keyed coalesce groups, and
-// issues one la::batch driver call per flush. The batch call fans its
-// entries out across the PR-1 worker pool internally (small-entry regime)
-// or runs serial-outer with the threaded Level-3 inside (large entries).
-// With the default single shard there is exactly one team at a time, so
-// serving never oversubscribes the kernel threads — the PR-8 behavior,
-// preserved exactly; with more shards the host is expected to have the
-// cores to back them. Because a job's completion block is only ever
-// updated from the shard that owns its units, its counters are relaxed
-// atomics for the cross-thread promise handoff only; the promise/future
-// pair provides the synchronizes-with edge that makes the solved operand
-// buffers and the per-entry INFO slots visible to the client.
-//
-// Admission (the queue_depth bound on in-flight entries) stays global
-// across shards — the bound is a memory/latency contract per server, not
-// per dispatcher — while statistics are kept per shard and merged on
-// snapshot, so Server::shard_stats exposes the round-robin spread.
+// Threading model. Each Server owns one dispatcher thread with its own
+// submission queue and coalescing groups. Clients only touch the
+// admission mutex, the queue mutex and the per-job promise. The
+// dispatcher is the sole executor: it pops everything available, routes
+// units into dtype/routine-keyed coalesce groups, and issues one
+// la::batch driver call per flush. The batch call fans its entries out
+// across the PR-1 worker pool internally (small-entry regime) or runs
+// serial-outer with the threaded Level-3 inside (large entries). There is
+// exactly one team at a time, so serving never oversubscribes the kernel
+// threads. Because a job's completion block is only ever updated from
+// the dispatcher, its counters are relaxed atomics for the cross-thread
+// promise handoff only; the promise/future pair provides the
+// synchronizes-with edge that makes the solved operand buffers and the
+// per-entry INFO slots visible to the client.
 
 #include "lapack90/serve/serve.hpp"
 
@@ -73,8 +64,8 @@ using u64 = std::uint64_t;
 
 enum class FlushCause { full, deadline, drain };
 
-/// Lock-free mirror of the Stats snapshot; updated from the owning shard's
-/// dispatcher (and the submission path for the admission counters).
+/// Lock-free mirror of the Stats snapshot; updated from the dispatcher
+/// (and the submission path for the admission counters).
 struct StatsBlock {
   std::atomic<u64> submitted_jobs{0};
   std::atomic<u64> submitted_entries{0};
@@ -168,7 +159,7 @@ struct Group {
 
 /// Executor-local descriptor arrays, reused across flushes so the steady
 /// state performs no allocation (the batch-layer workspace discipline).
-/// thread_local: each dispatcher shard gets its own set.
+/// thread_local: each server's dispatcher gets its own set.
 template <class T>
 struct FlushScratch {
   std::vector<T*> aptrs, bptrs;
@@ -186,332 +177,316 @@ FlushScratch<T>& flush_scratch() {
 struct Server::Engine {
   Config cfg;
 
-  // Global admission state: the in-flight bound spans all shards.
+  // Admission state: the in-flight bound on admitted entries.
   mutable std::mutex adm_mu;
   std::condition_variable cv_idle;
   idx in_flight = 0;  // admitted entries not yet completed (guarded by adm_mu)
   bool stopping = false;
   bool joined = false;
-  std::atomic<u64> next_shard{0};  // round-robin job placement cursor
 
-  struct Shard {
-    Engine* eng = nullptr;
-    mutable std::mutex mu;
-    std::condition_variable cv_work;
-    std::deque<Unit> queue;
-    bool stopping = false;
-    StatsBlock stats;
-    std::vector<Group> groups;  // dispatcher-private
-    idx pending = 0;            // units parked in groups (dispatcher-private)
-    std::thread dispatcher;
+  // Dispatcher state: the submission queue (guarded by mu) and the
+  // dispatcher-private coalescing groups.
+  mutable std::mutex mu;
+  std::condition_variable cv_work;
+  std::deque<Unit> queue;
+  bool draining = false;  // shutdown reached the queue (guarded by mu)
+  StatsBlock stats;
+  std::vector<Group> groups;
+  idx pending = 0;  // units parked in groups
+  std::thread dispatcher;
 
-    // -- dispatcher ------------------------------------------------------
+  // -- dispatcher --------------------------------------------------------
 
-    [[nodiscard]] clock::time_point nearest_deadline() const noexcept {
-      clock::time_point oldest = clock::time_point::max();
-      for (const Group& g : groups) {
-        if (!g.units.empty() && g.oldest < oldest) {
-          oldest = g.oldest;
-        }
+  [[nodiscard]] clock::time_point nearest_deadline() const noexcept {
+    clock::time_point oldest = clock::time_point::max();
+    for (const Group& g : groups) {
+      if (!g.units.empty() && g.oldest < oldest) {
+        oldest = g.oldest;
       }
-      if (oldest == clock::time_point::max()) {
-        return oldest;  // only called with pending > 0, but stay defensive
-      }
-      return oldest + std::chrono::microseconds(eng->cfg.flush_us);
     }
+    if (oldest == clock::time_point::max()) {
+      return oldest;  // only called with pending > 0, but stay defensive
+    }
+    return oldest + std::chrono::microseconds(cfg.flush_us);
+  }
 
-    void loop() {
-      std::vector<Unit> local;
-      std::unique_lock<std::mutex> lk(mu);
-      for (;;) {
-        if (queue.empty()) {
-          if (pending == 0) {
-            if (stopping) {
-              break;
-            }
-            cv_work.wait(lk, [&] { return stopping || !queue.empty(); });
-            if (stopping && queue.empty()) {
-              break;
-            }
-          } else {
-            // Units are coalescing: sleep at most until the oldest group's
-            // flush deadline, so tail latency stays bounded under light
-            // load.
-            cv_work.wait_until(lk, nearest_deadline(),
-                               [&] { return stopping || !queue.empty(); });
+  void loop() {
+    std::vector<Unit> local;
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      if (queue.empty()) {
+        if (pending == 0) {
+          if (draining) {
+            break;
           }
+          cv_work.wait(lk, [&] { return draining || !queue.empty(); });
+          if (draining && queue.empty()) {
+            break;
+          }
+        } else {
+          // Units are coalescing: sleep at most until the oldest group's
+          // flush deadline, so tail latency stays bounded under light
+          // load.
+          cv_work.wait_until(lk, nearest_deadline(),
+                             [&] { return draining || !queue.empty(); });
         }
-        local.clear();
-        while (!queue.empty()) {
-          local.push_back(std::move(queue.front()));
-          queue.pop_front();
-        }
-        const bool drain_all = stopping;
-        lk.unlock();
-        route_and_flush(local, drain_all);
-        lk.lock();
+      }
+      local.clear();
+      while (!queue.empty()) {
+        local.push_back(std::move(queue.front()));
+        queue.pop_front();
+      }
+      const bool drain_all = draining;
+      lk.unlock();
+      route_and_flush(local, drain_all);
+      lk.lock();
+    }
+  }
+
+  [[nodiscard]] Group& group_for(const Unit& u) {
+    for (Group& g : groups) {
+      if (g.rt == u.routine && g.dt == u.dtype && g.uplo == u.uplo &&
+          g.trans == u.trans) {
+        return g;
       }
     }
+    Group g;
+    g.rt = u.routine;
+    g.dt = u.dtype;
+    g.uplo = u.uplo;
+    g.trans = u.trans;
+    groups.push_back(std::move(g));
+    return groups.back();
+  }
 
-    [[nodiscard]] Group& group_for(const Unit& u) {
+  /// Route freshly popped units into groups, flushing on width, deadline,
+  /// or drain. Returns the number of units completed (= flushed).
+  idx route_and_flush(std::vector<Unit>& local, bool drain_all) {
+    idx done = 0;
+    const idx grain = batch::batch_grain();
+    for (Unit& u : local) {
+      const idx maxdim = std::max({u.am, u.an, u.bm, u.bn});
+      if (maxdim >= grain) {
+        // Large problem: the batch layer would run it serial-outer with
+        // the threaded Level-3 inside; coalescing adds latency, not
+        // throughput. Flush solo, immediately.
+        Group solo;
+        solo.rt = u.routine;
+        solo.dt = u.dtype;
+        solo.uplo = u.uplo;
+        solo.trans = u.trans;
+        solo.units.push_back(std::move(u));
+        done += flush(solo, FlushCause::full, /*grouped=*/false);
+        continue;
+      }
+      Group& g = group_for(u);
+      if (g.units.empty()) {
+        g.oldest = clock::now();
+      }
+      g.units.push_back(std::move(u));
+      ++pending;
+      if (static_cast<idx>(g.units.size()) >= cfg.batch_max) {
+        done += flush(g, FlushCause::full, /*grouped=*/true);
+      }
+    }
+    if (pending > 0) {
+      const auto now = clock::now();
+      const auto deadline = std::chrono::microseconds(cfg.flush_us);
       for (Group& g : groups) {
-        if (g.rt == u.routine && g.dt == u.dtype && g.uplo == u.uplo &&
-            g.trans == u.trans) {
-          return g;
-        }
-      }
-      Group g;
-      g.rt = u.routine;
-      g.dt = u.dtype;
-      g.uplo = u.uplo;
-      g.trans = u.trans;
-      groups.push_back(std::move(g));
-      return groups.back();
-    }
-
-    /// Route freshly popped units into groups, flushing on width, deadline,
-    /// or drain. Returns the number of units completed (= flushed).
-    idx route_and_flush(std::vector<Unit>& local, bool drain_all) {
-      idx done = 0;
-      const idx grain = batch::batch_grain();
-      for (Unit& u : local) {
-        const idx maxdim = std::max({u.am, u.an, u.bm, u.bn});
-        if (maxdim >= grain) {
-          // Large problem: the batch layer would run it serial-outer with
-          // the threaded Level-3 inside; coalescing adds latency, not
-          // throughput. Flush solo, immediately.
-          Group solo;
-          solo.rt = u.routine;
-          solo.dt = u.dtype;
-          solo.uplo = u.uplo;
-          solo.trans = u.trans;
-          solo.units.push_back(std::move(u));
-          done += flush(solo, FlushCause::full, /*grouped=*/false);
+        if (g.units.empty()) {
           continue;
         }
-        Group& g = group_for(u);
-        if (g.units.empty()) {
-          g.oldest = clock::now();
+        if (drain_all) {
+          done += flush(g, FlushCause::drain, /*grouped=*/true);
+        } else if (now - g.oldest >= deadline) {
+          done += flush(g, FlushCause::deadline, /*grouped=*/true);
         }
-        g.units.push_back(std::move(u));
-        ++pending;
-        if (static_cast<idx>(g.units.size()) >= eng->cfg.batch_max) {
-          done += flush(g, FlushCause::full, /*grouped=*/true);
-        }
-      }
-      if (pending > 0) {
-        const auto now = clock::now();
-        const auto deadline = std::chrono::microseconds(eng->cfg.flush_us);
-        for (Group& g : groups) {
-          if (g.units.empty()) {
-            continue;
-          }
-          if (drain_all) {
-            done += flush(g, FlushCause::drain, /*grouped=*/true);
-          } else if (now - g.oldest >= deadline) {
-            done += flush(g, FlushCause::deadline, /*grouped=*/true);
-          }
-        }
-      }
-      return done;
-    }
-
-    idx flush(Group& g, FlushCause cause, bool grouped) {
-      const idx cnt = static_cast<idx>(g.units.size());
-      // Record the flush before executing it: flush_typed fulfils the last
-      // job's promise, and a client returning from future.get() must
-      // already see this flush in Server::stats() (the promise/future edge
-      // orders these relaxed stores for it).
-      stats.batches.fetch_add(1, std::memory_order_relaxed);
-      if (cnt > 1) {
-        stats.coalesced_entries.fetch_add(static_cast<u64>(cnt),
-                                          std::memory_order_relaxed);
-      }
-      switch (cause) {
-        case FlushCause::full:
-          stats.flush_full.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case FlushCause::deadline:
-          stats.flush_deadline.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case FlushCause::drain:
-          stats.flush_drain.fetch_add(1, std::memory_order_relaxed);
-          break;
-      }
-      switch (g.dt) {
-        case Dtype::s:
-          flush_typed<float>(g);
-          break;
-        case Dtype::d:
-          flush_typed<double>(g);
-          break;
-        case Dtype::c:
-          flush_typed<std::complex<float>>(g);
-          break;
-        case Dtype::z:
-          flush_typed<std::complex<double>>(g);
-          break;
-        case Dtype::count_:
-          break;
-      }
-      // Solo flushes of large units never incremented the pending count;
-      // grouped flushes give theirs back.
-      if (grouped) {
-        pending -= cnt;
-      }
-      g.units.clear();
-      // Release the admission slots flush-by-flush rather than once per
-      // dispatcher wake-up: every promise this flush fulfilled was set
-      // above, so a client that resubmits the moment its future resolves
-      // lags the admission counter by at most one flush width, not a whole
-      // backlog.
-      eng->release_in_flight(cnt);
-      return cnt;
-    }
-
-    template <class T>
-    void flush_typed(Group& g) {
-      const idx cnt = static_cast<idx>(g.units.size());
-      FlushScratch<T>& s = flush_scratch<T>();
-      const auto size = static_cast<std::size_t>(cnt);
-      s.aptrs.resize(size);
-      s.bptrs.resize(size);
-      s.arows.resize(size);
-      s.acols.resize(size);
-      s.alds.resize(size);
-      s.brows.resize(size);
-      s.bcols.resize(size);
-      s.blds.resize(size);
-      s.infos.assign(size, 0);
-      s.iters.assign(size, 0);
-      for (idx i = 0; i < cnt; ++i) {
-        const Unit& u = g.units[static_cast<std::size_t>(i)];
-        const auto ui = static_cast<std::size_t>(i);
-        s.aptrs[ui] = static_cast<T*>(u.a);
-        s.arows[ui] = u.am;
-        s.acols[ui] = u.an;
-        s.alds[ui] = u.lda;
-        s.bptrs[ui] = static_cast<T*>(u.b);
-        s.brows[ui] = u.bm;
-        s.bcols[ui] = u.bn;
-        s.blds[ui] = u.ldb;
-      }
-      const auto a = batch::MatrixBatch<T>::ragged(
-          s.aptrs.data(), s.arows.data(), s.acols.data(), s.alds.data(), cnt);
-      const auto b = batch::MatrixBatch<T>::ragged(
-          s.bptrs.data(), s.brows.data(), s.bcols.data(), s.blds.data(), cnt);
-      const std::int64_t start_ns = detail::to_ns(clock::now());
-      switch (g.rt) {
-        case Routine::gesv:
-          batch::gesv_batch(a, b, s.infos.data());
-          break;
-        case Routine::posv:
-          batch::posv_batch(g.uplo, a, b, s.infos.data());
-          break;
-        case Routine::gels:
-          batch::gels_batch(g.trans, a, b, s.infos.data());
-          break;
-        case Routine::geqrf:
-          batch::geqrf_batch(a, b, s.infos.data());
-          break;
-        case Routine::mixed_gesv:
-          if constexpr (has_lower_precision_v<T>) {
-            batch::mixed_gesv_batch(a, b, s.iters.data(), s.infos.data());
-          } else {
-            // No lower working precision for this dtype (s, c): the typed
-            // Server methods cannot build such a unit, but a transport
-            // front end could — fail the entries instead of the process.
-            std::fill(s.infos.begin(), s.infos.end(), kInfoUnsupported);
-          }
-          break;
-        case Routine::count_:
-          break;
-      }
-      const std::int64_t done_ns = detail::to_ns(clock::now());
-      const detail::JobShared* prev_job = nullptr;
-      for (idx i = 0; i < cnt; ++i) {
-        Unit& u = g.units[static_cast<std::size_t>(i)];
-        const idx linfo = s.infos[static_cast<std::size_t>(i)];
-        const idx liter = s.iters[static_cast<std::size_t>(i)];
-        if (u.info_out != nullptr) {
-          *u.info_out = linfo;
-        }
-        if (u.iter_out != nullptr) {
-          *u.iter_out = liter;
-        }
-        JobShared& sh = *u.shared;
-        if (u.entry_index == 0) {
-          sh.iter0.store(liter, std::memory_order_relaxed);
-        }
-        if (linfo != 0) {
-          detail::note_unit_failure(sh, u.entry_index);
-          stats.failed_entries.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (start_ns < sh.exec_start_ns.load(std::memory_order_relaxed)) {
-          sh.exec_start_ns.store(start_ns, std::memory_order_relaxed);
-        }
-        if (done_ns > sh.done_ns.load(std::memory_order_relaxed)) {
-          sh.done_ns.store(done_ns, std::memory_order_relaxed);
-        }
-        // Units of one job are contiguous within a flush (routing preserves
-        // submission order and a job's units land on one shard), so a run
-        // boundary marks one batch call. Tracked as a raw pointer because
-        // the previous unit's shared handle has already been released by
-        // the time we look back at it.
-        if (&sh != prev_job) {
-          sh.batches.fetch_add(1, std::memory_order_relaxed);
-          prev_job = &sh;
-        }
-        if (sh.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          complete_job(sh);
-        }
-        u.shared.reset();
       }
     }
+    return done;
+  }
 
-    void complete_job(JobShared& sh) {
-      JobResult r;
-      r.entries = sh.entries;
-      r.batches = sh.batches.load(std::memory_order_relaxed);
-      r.info = sh.first_fail.load(std::memory_order_relaxed);
-      r.iter = sh.iter0.load(std::memory_order_relaxed);
-      const std::int64_t submit_ns = detail::to_ns(sh.t_submit);
-      const std::int64_t start_ns =
-          sh.exec_start_ns.load(std::memory_order_relaxed);
-      const std::int64_t done_ns = sh.done_ns.load(std::memory_order_relaxed);
-      const std::int64_t total_ns = detail::to_ns(clock::now()) - submit_ns;
-      r.queue_us = static_cast<double>(start_ns - submit_ns) * 1e-3;
-      r.exec_us = static_cast<double>(done_ns - start_ns) * 1e-3;
-      r.total_us = static_cast<double>(total_ns) * 1e-3;
-      stats.completed_jobs.fetch_add(1, std::memory_order_relaxed);
-      stats.completed_entries.fetch_add(static_cast<u64>(sh.entries),
+  idx flush(Group& g, FlushCause cause, bool grouped) {
+    const idx cnt = static_cast<idx>(g.units.size());
+    // Record the flush before executing it: flush_typed fulfils the last
+    // job's promise, and a client returning from future.get() must
+    // already see this flush in Server::stats() (the promise/future edge
+    // orders these relaxed stores for it).
+    stats.batches.fetch_add(1, std::memory_order_relaxed);
+    if (cnt > 1) {
+      stats.coalesced_entries.fetch_add(static_cast<u64>(cnt),
                                         std::memory_order_relaxed);
-      StatsBlock::record(stats.latency_hist, total_ns);
-      StatsBlock::record(stats.queue_hist, start_ns - submit_ns);
-      stats.note_max(total_ns);
-      sh.promise.set_value(r);
-      if (sh.on_done != nullptr) {
-        sh.on_done(sh.on_done_ctx, r);
-      }
     }
-  };
+    switch (cause) {
+      case FlushCause::full:
+        stats.flush_full.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case FlushCause::deadline:
+        stats.flush_deadline.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case FlushCause::drain:
+        stats.flush_drain.fetch_add(1, std::memory_order_relaxed);
+        break;
+    }
+    switch (g.dt) {
+      case Dtype::s:
+        flush_typed<float>(g);
+        break;
+      case Dtype::d:
+        flush_typed<double>(g);
+        break;
+      case Dtype::c:
+        flush_typed<std::complex<float>>(g);
+        break;
+      case Dtype::z:
+        flush_typed<std::complex<double>>(g);
+        break;
+      case Dtype::count_:
+        break;
+    }
+    // Solo flushes of large units never incremented the pending count;
+    // grouped flushes give theirs back.
+    if (grouped) {
+      pending -= cnt;
+    }
+    g.units.clear();
+    // Release the admission slots flush-by-flush rather than once per
+    // dispatcher wake-up: every promise this flush fulfilled was set
+    // above, so a client that resubmits the moment its future resolves
+    // lags the admission counter by at most one flush width, not a whole
+    // backlog.
+    release_in_flight(cnt);
+    return cnt;
+  }
 
-  std::vector<std::unique_ptr<Shard>> shards;
+  template <class T>
+  void flush_typed(Group& g) {
+    const idx cnt = static_cast<idx>(g.units.size());
+    FlushScratch<T>& s = flush_scratch<T>();
+    const auto size = static_cast<std::size_t>(cnt);
+    s.aptrs.resize(size);
+    s.bptrs.resize(size);
+    s.arows.resize(size);
+    s.acols.resize(size);
+    s.alds.resize(size);
+    s.brows.resize(size);
+    s.bcols.resize(size);
+    s.blds.resize(size);
+    s.infos.assign(size, 0);
+    s.iters.assign(size, 0);
+    for (idx i = 0; i < cnt; ++i) {
+      const Unit& u = g.units[static_cast<std::size_t>(i)];
+      const auto ui = static_cast<std::size_t>(i);
+      s.aptrs[ui] = static_cast<T*>(u.a);
+      s.arows[ui] = u.am;
+      s.acols[ui] = u.an;
+      s.alds[ui] = u.lda;
+      s.bptrs[ui] = static_cast<T*>(u.b);
+      s.brows[ui] = u.bm;
+      s.bcols[ui] = u.bn;
+      s.blds[ui] = u.ldb;
+    }
+    const auto a = batch::MatrixBatch<T>::ragged(
+        s.aptrs.data(), s.arows.data(), s.acols.data(), s.alds.data(), cnt);
+    const auto b = batch::MatrixBatch<T>::ragged(
+        s.bptrs.data(), s.brows.data(), s.bcols.data(), s.blds.data(), cnt);
+    const std::int64_t start_ns = detail::to_ns(clock::now());
+    switch (g.rt) {
+      case Routine::gesv:
+        batch::gesv_batch(a, b, s.infos.data());
+        break;
+      case Routine::posv:
+        batch::posv_batch(g.uplo, a, b, s.infos.data());
+        break;
+      case Routine::gels:
+        batch::gels_batch(g.trans, a, b, s.infos.data());
+        break;
+      case Routine::geqrf:
+        batch::geqrf_batch(a, b, s.infos.data());
+        break;
+      case Routine::mixed_gesv:
+        if constexpr (has_lower_precision_v<T>) {
+          batch::mixed_gesv_batch(a, b, s.iters.data(), s.infos.data());
+        } else {
+          // No lower working precision for this dtype (s, c): the typed
+          // Server methods cannot build such a unit, but a transport
+          // front end could — fail the entries instead of the process.
+          std::fill(s.infos.begin(), s.infos.end(), kInfoUnsupported);
+        }
+        break;
+      case Routine::count_:
+        break;
+    }
+    const std::int64_t done_ns = detail::to_ns(clock::now());
+    const detail::JobShared* prev_job = nullptr;
+    for (idx i = 0; i < cnt; ++i) {
+      Unit& u = g.units[static_cast<std::size_t>(i)];
+      const idx linfo = s.infos[static_cast<std::size_t>(i)];
+      const idx liter = s.iters[static_cast<std::size_t>(i)];
+      if (u.info_out != nullptr) {
+        *u.info_out = linfo;
+      }
+      if (u.iter_out != nullptr) {
+        *u.iter_out = liter;
+      }
+      JobShared& sh = *u.shared;
+      if (u.entry_index == 0) {
+        sh.iter0.store(liter, std::memory_order_relaxed);
+      }
+      if (linfo != 0) {
+        detail::note_unit_failure(sh, u.entry_index);
+        stats.failed_entries.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (start_ns < sh.exec_start_ns.load(std::memory_order_relaxed)) {
+        sh.exec_start_ns.store(start_ns, std::memory_order_relaxed);
+      }
+      if (done_ns > sh.done_ns.load(std::memory_order_relaxed)) {
+        sh.done_ns.store(done_ns, std::memory_order_relaxed);
+      }
+      // Units of one job are contiguous within a flush (routing preserves
+      // submission order), so a run
+      // boundary marks one batch call. Tracked as a raw pointer because
+      // the previous unit's shared handle has already been released by
+      // the time we look back at it.
+      if (&sh != prev_job) {
+        sh.batches.fetch_add(1, std::memory_order_relaxed);
+        prev_job = &sh;
+      }
+      if (sh.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        complete_job(sh);
+      }
+      u.shared.reset();
+    }
+  }
+
+  void complete_job(JobShared& sh) {
+    JobResult r;
+    r.entries = sh.entries;
+    r.batches = sh.batches.load(std::memory_order_relaxed);
+    r.info = sh.first_fail.load(std::memory_order_relaxed);
+    r.iter = sh.iter0.load(std::memory_order_relaxed);
+    const std::int64_t submit_ns = detail::to_ns(sh.t_submit);
+    const std::int64_t start_ns =
+        sh.exec_start_ns.load(std::memory_order_relaxed);
+    const std::int64_t done_ns = sh.done_ns.load(std::memory_order_relaxed);
+    const std::int64_t total_ns = detail::to_ns(clock::now()) - submit_ns;
+    r.queue_us = static_cast<double>(start_ns - submit_ns) * 1e-3;
+    r.exec_us = static_cast<double>(done_ns - start_ns) * 1e-3;
+    r.total_us = static_cast<double>(total_ns) * 1e-3;
+    stats.completed_jobs.fetch_add(1, std::memory_order_relaxed);
+    stats.completed_entries.fetch_add(static_cast<u64>(sh.entries),
+                                      std::memory_order_relaxed);
+    StatsBlock::record(stats.latency_hist, total_ns);
+    StatsBlock::record(stats.queue_hist, start_ns - submit_ns);
+    stats.note_max(total_ns);
+    sh.promise.set_value(r);
+    if (sh.on_done != nullptr) {
+      sh.on_done(sh.on_done_ctx, r);
+    }
+  }
 
   explicit Engine(const Config& c) : cfg(resolve(c)) {
-    shards.reserve(static_cast<std::size_t>(cfg.shards));
-    for (idx i = 0; i < cfg.shards; ++i) {
-      auto sh = std::make_unique<Shard>();
-      sh->eng = this;
-      shards.push_back(std::move(sh));
-    }
-    // Start the dispatchers only after the shard vector is final: a
-    // dispatcher never touches the vector, but keeping construction
-    // two-phase makes that obvious.
-    for (auto& sh : shards) {
-      Shard* p = sh.get();
-      p->dispatcher = std::thread([p] { p->loop(); });
-    }
+    dispatcher = std::thread([this] { loop(); });
   }
 
   [[nodiscard]] static Config resolve(const Config& c) noexcept {
@@ -525,7 +500,6 @@ struct Server::Engine {
     r.queue_depth = knob(c.queue_depth, EnvSpec::ServeQueueDepth);
     r.flush_us = knob(c.flush_us, EnvSpec::ServeFlushUs);
     r.batch_max = knob(c.batch_max, EnvSpec::ServeBatchMax);
-    r.shards = knob(c.shards, EnvSpec::ServeShards);
     return r;
   }
 
@@ -566,44 +540,19 @@ void Server::shutdown() {
     }
     e.stopping = true;  // no new admissions from here on
   }
-  for (auto& sh : e.shards) {
-    {
-      std::lock_guard<std::mutex> lk(sh->mu);
-      sh->stopping = true;
-    }
-    sh->cv_work.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(e.mu);
+    e.draining = true;
   }
-  for (auto& sh : e.shards) {
-    sh->dispatcher.join();
-  }
+  e.cv_work.notify_all();
+  e.dispatcher.join();
   std::lock_guard<std::mutex> lk(e.adm_mu);
   e.joined = true;
 }
 
-Stats Server::stats() const {
-  Stats out;
-  for (const auto& sh : eng_->shards) {
-    out.merge(sh->stats.snapshot());
-  }
-  return out;
-}
+Stats Server::stats() const { return eng_->stats.snapshot(); }
 
-idx Server::shard_count() const noexcept {
-  return static_cast<idx>(eng_->shards.size());
-}
-
-Stats Server::shard_stats(idx shard) const {
-  if (shard < 0 || shard >= shard_count()) {
-    return Stats{};
-  }
-  return eng_->shards[static_cast<std::size_t>(shard)]->stats.snapshot();
-}
-
-void Server::reset_stats() {
-  for (auto& sh : eng_->shards) {
-    sh->stats.reset();
-  }
-}
+void Server::reset_stats() { eng_->stats.reset(); }
 
 std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
                                             CompletionFn on_done,
@@ -618,17 +567,12 @@ std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
   // get_future() before the units can reach a dispatcher: the standard
   // does not allow get_future to race with set_value.
   std::future<JobResult> fut = shared->promise.get_future();
-  // Round-robin job placement: every unit of this job goes to one shard,
-  // keeping a job's units contiguous within that shard's flushes.
-  Engine::Shard& sh = *e.shards[static_cast<std::size_t>(
-      e.next_shard.fetch_add(1, std::memory_order_relaxed) %
-      e.shards.size())];
-  sh.stats.submitted_jobs.fetch_add(1, std::memory_order_relaxed);
-  sh.stats.submitted_entries.fetch_add(static_cast<u64>(count),
-                                       std::memory_order_relaxed);
+  e.stats.submitted_jobs.fetch_add(1, std::memory_order_relaxed);
+  e.stats.submitted_entries.fetch_add(static_cast<u64>(count),
+                                      std::memory_order_relaxed);
   if (count == 0) {
     JobResult r;
-    sh.stats.completed_jobs.fetch_add(1, std::memory_order_relaxed);
+    e.stats.completed_jobs.fetch_add(1, std::memory_order_relaxed);
     shared->promise.set_value(r);
     if (shared->on_done != nullptr) {
       shared->on_done(shared->on_done_ctx, r);
@@ -649,8 +593,8 @@ std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
     }
   }
   if (!rejected) {
-    std::unique_lock<std::mutex> lk(sh.mu);
-    if (sh.stopping) {
+    std::unique_lock<std::mutex> lk(e.mu);
+    if (e.draining) {
       // shutdown() slipped in between admission and enqueue: the
       // dispatcher may already be joined, so pushing now would strand the
       // units on a dead queue (promise never set, in_flight never
@@ -660,7 +604,7 @@ std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
       rejected = true;
     } else {
       for (idx i = 0; i < count; ++i) {
-        sh.queue.push_back(std::move(units[i]));
+        e.queue.push_back(std::move(units[i]));
       }
     }
   }
@@ -668,7 +612,7 @@ std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
     for (idx i = 0; i < count; ++i) {
       units[i].shared.reset();
     }
-    sh.stats.rejected_jobs.fetch_add(1, std::memory_order_relaxed);
+    e.stats.rejected_jobs.fetch_add(1, std::memory_order_relaxed);
     JobResult r;
     r.info = kInfoRejected;
     r.entries = count;
@@ -678,7 +622,7 @@ std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
     }
     return fut;
   }
-  sh.cv_work.notify_one();
+  e.cv_work.notify_one();
   return fut;
 }
 

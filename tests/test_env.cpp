@@ -1,16 +1,19 @@
-// Hardened environment parsing (detail::parse_env_idx) and the ilaenv
-// entries added for the batch subsystem. The parser is exercised directly
+// Hardened environment parsing (detail::parse_env_idx), the ilaenv
+// precedence chain (env var > set_env_override > builtin) and override
+// validation, the ilaenv entries added for the batch subsystem, and the
+// version string and machine signature. The parser is exercised directly
 // on string literals — the env vars themselves are read once per process
 // into statics, so the pure function is the testable surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "lapack90/core/env.hpp"
-#include "lapack90/core/parallel.hpp"
-#include "lapack90/core/simd.hpp"
+#include "lapack90/lapack90.hpp"
+#include "lapack90/tune/tune.hpp"
 #include "lapack90/version.hpp"
 
 namespace la::test {
@@ -150,23 +153,99 @@ TEST(EnvServeTest, MalformedEnvironmentFallsBack) {
   check("LAPACK90_SERVE_QUEUE", EnvSpec::ServeQueueDepth, 4096);
   check("LAPACK90_SERVE_FLUSH_US", EnvSpec::ServeFlushUs, 200);
   check("LAPACK90_SERVE_BATCH", EnvSpec::ServeBatchMax, 64);
-  check("LAPACK90_SERVE_SHARDS", EnvSpec::ServeShards, 1);
 }
 
-TEST(EnvServeTest, ShardKnobDefaultsNameAndCap) {
-  // ServeShards: one dispatcher unless asked otherwise (default 1 keeps the
-  // engine bit-identical to the single-dispatcher behavior), capped at 256.
-  EXPECT_EQ(ilaenv(EnvSpec::ServeShards, EnvRoutine::gemm, 0), 1);
-  EXPECT_STREQ(detail::env_knob_name(EnvSpec::ServeShards),
-               "LAPACK90_SERVE_SHARDS");
-  EXPECT_EQ(detail::env_spec_max(EnvSpec::ServeShards), idx{1} << 8);
-  const idx prev = set_env_override(EnvSpec::ServeShards, EnvRoutine::gemm, 4);
-  EXPECT_EQ(ilaenv(EnvSpec::ServeShards, EnvRoutine::gemm, 0), 4);
-  set_env_override(EnvSpec::ServeShards, EnvRoutine::gemm, prev);
-  EXPECT_EQ(ilaenv(EnvSpec::ServeShards, EnvRoutine::gemm, 0), 1);
-  // Out-of-range overrides are rejected like every other slot.
-  set_env_override(EnvSpec::ServeShards, EnvRoutine::gemm, (idx{1} << 8) + 1);
-  EXPECT_EQ(ilaenv(EnvSpec::ServeShards, EnvRoutine::gemm, 0), 1);
+TEST(EnvTest, EnvVarBeatsOverrideBeatsBuiltin) {
+  const idx builtin = ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0);
+  const idx prev =
+      set_env_override(EnvSpec::CacheBlockK, EnvRoutine::gemm, 224);
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), 224);
+
+  ASSERT_EQ(::setenv("LAPACK90_GEMM_KC", "160", 1), 0);
+  detail::refresh_env_cache();
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), 160);
+  EXPECT_TRUE(detail::any_env_knob_set());
+
+  // A malformed pin falls back to the override instead of winning.
+  ASSERT_EQ(::setenv("LAPACK90_GEMM_KC", "160abc", 1), 0);
+  detail::refresh_env_cache();
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), 224);
+
+  ASSERT_EQ(::unsetenv("LAPACK90_GEMM_KC"), 0);
+  detail::refresh_env_cache();
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), 224);
+  set_env_override(EnvSpec::CacheBlockK, EnvRoutine::gemm, prev);
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), builtin);
+}
+
+TEST(EnvTest, OverrideRejectsBadPairsAndValues) {
+  // Out-of-range (spec, routine) pairs: no-op, returns 0, and ilaenv
+  // returns its documented floor instead of reading past the table.
+  EXPECT_EQ(set_env_override(static_cast<EnvSpec>(0), EnvRoutine::getrf, 64),
+            0);
+  EXPECT_EQ(set_env_override(static_cast<EnvSpec>(2), EnvRoutine::getrf, 64),
+            0);
+  EXPECT_EQ(set_env_override(static_cast<EnvSpec>(kEnvSpecCount + 1),
+                             EnvRoutine::getrf, 64),
+            0);
+  EXPECT_EQ(
+      set_env_override(EnvSpec::BlockSize, EnvRoutine::count_, 64), 0);
+  EXPECT_EQ(ilaenv(static_cast<EnvSpec>(0), EnvRoutine::getrf, 100), 1);
+  EXPECT_EQ(ilaenv(static_cast<EnvSpec>(kEnvSpecCount + 1),
+                   EnvRoutine::getrf, 100),
+            1);
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::count_, 100), 1);
+
+  // Rejected values leave the slot untouched and report its setting.
+  const idx prev = set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, 96);
+  EXPECT_EQ(set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, -3), 96);
+  EXPECT_EQ(set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf,
+                             (idx{1} << 20) + 1),
+            96);
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::getrf, 1024), 96);
+  // TileScheduler is capped at the last real scheduler id.
+  const idx sprev =
+      set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, 0);
+  EXPECT_EQ(set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, 7),
+            0);
+  set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, sprev);
+  set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, prev);
+}
+
+TEST(EnvTest, GemmStaysCorrectUnderTinyCacheBlocks) {
+  // MC = KC = 8 strangles the packed gemm (MC below the register tile's
+  // MR on wide ISAs): a bad setting may cost speed, never correctness,
+  // and dropping the override restores the builtins.
+  const idx prev_kc =
+      set_env_override(EnvSpec::CacheBlockK, EnvRoutine::gemm, 8);
+  const idx prev_mc =
+      set_env_override(EnvSpec::CacheBlockM, EnvRoutine::gemm, 8);
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), 8);
+
+  const idx n = 96;
+  Iseed seed = {11, 22, 33, 1};
+  Matrix<double> a(n, n);
+  Matrix<double> b(n, n);
+  Matrix<double> c(n, n);
+  larnv(Dist::Uniform11, seed, n * n, a.data());
+  larnv(Dist::Uniform11, seed, n * n, b.data());
+  blas::gemm(Trans::NoTrans, Trans::NoTrans, n, n, n, 1.0, a.data(), a.ld(),
+             b.data(), b.ld(), 0.0, c.data(), c.ld());
+  double max_err = 0.0;
+  for (idx j = 0; j < n; ++j) {
+    for (idx i = 0; i < n; ++i) {
+      double ref = 0.0;
+      for (idx k = 0; k < n; ++k) {
+        ref += a(i, k) * b(k, j);
+      }
+      max_err = std::max(max_err, std::abs(c(i, j) - ref));
+    }
+  }
+  EXPECT_LT(max_err, 1e-10);
+
+  set_env_override(EnvSpec::CacheBlockM, EnvRoutine::gemm, prev_mc);
+  set_env_override(EnvSpec::CacheBlockK, EnvRoutine::gemm, prev_kc);
+  EXPECT_EQ(ilaenv(EnvSpec::CacheBlockK, EnvRoutine::gemm, 0), 256);
 }
 
 TEST(EnvNetTest, KnobsRideTheHardenedReader) {
@@ -208,6 +287,33 @@ TEST(VersionTest, ReportsSimdIsaAndThreadBackend) {
   EXPECT_TRUE(std::strcmp(b, "std::thread") == 0 ||
               std::strcmp(b, "serial") == 0)
       << b;
+}
+
+TEST(VersionTest, ReportsEnvKnobMarker) {
+  EXPECT_NE(std::strstr(version(), "knobs: builtin,"), nullptr) << version();
+  ASSERT_EQ(::setenv("LAPACK90_GEMM_KC", "160", 1), 0);
+  detail::refresh_env_cache();
+  EXPECT_NE(std::strstr(version(), "knobs: builtin+env,"), nullptr)
+      << version();
+  ASSERT_EQ(::unsetenv("LAPACK90_GEMM_KC"), 0);
+  detail::refresh_env_cache();
+  EXPECT_NE(std::strstr(version(), "knobs: builtin,"), nullptr) << version();
+}
+
+TEST(VersionTest, MachineSignatureCanonicalForm) {
+  const tune::MachineSignature sig = tune::machine_signature();
+  EXPECT_STREQ(sig.isa, simd_isa_name());
+  EXPECT_GE(sig.threads, 1);
+  const std::string s = sig.str();
+  EXPECT_EQ(s.rfind(simd_isa_name(), 0), 0U) << s;
+  EXPECT_NE(s.find("-l1:"), std::string::npos) << s;
+  EXPECT_NE(s.find("-l2:"), std::string::npos) << s;
+  EXPECT_NE(s.find("-l3:"), std::string::npos) << s;
+  EXPECT_NE(s.find("-nt:" + std::to_string(static_cast<long>(sig.threads))),
+            std::string::npos)
+      << s;
+  // No file is read, so none is reported.
+  EXPECT_EQ(tune::default_tune_file(), "");
 }
 
 TEST(VersionTest, HeaderIsaMatchesLibraryIsa) {

@@ -2,12 +2,14 @@
 // arm that called SkipWithError is written by google-benchmark with
 // "error_occurred": true and real_time 0. The gate must see the flag and
 // fail, not take the 0 ns as a fast sample (below the noise floor, which
-// used to end in "nothing comparable" and a skip).
+// used to end in "nothing comparable" and a skip). The machine check
+// compares only the ISA and worker count of the signature.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "lapack90/tune/tune.hpp"
 #include "perf_check.hpp"
 
 namespace {
@@ -82,6 +84,47 @@ TEST(PerfCheck, ErroredFreshEntryFailsTheGate) {
   // what fails it.
   fresh.samples.erase(fresh.samples.begin());
   EXPECT_EQ(la::bench::compare_runs(base, fresh, "fixture"), 0);
+}
+
+la::bench::BenchFile baseline_on(const la::tune::MachineSignature& sig) {
+  la::bench::BenchFile base;
+  base.context["machine_signature"] = sig.str();
+  return base;
+}
+
+TEST(PerfCheck, CacheSizesAloneDoNotSkipTheGate) {
+  const la::tune::MachineSignature here = la::tune::machine_signature();
+  EXPECT_EQ(la::bench::check_signature(baseline_on(here), "bench", "b.json"),
+            0);
+  la::tune::MachineSignature other_vm = here;
+  other_vm.l3 += 1L << 20;  // same VM class, different L3 slice
+  EXPECT_EQ(
+      la::bench::check_signature(baseline_on(other_vm), "bench", "b.json"), 0);
+  other_vm.l1d *= 2;
+  other_vm.l2 = 0;  // a level the platform does not report
+  EXPECT_EQ(
+      la::bench::check_signature(baseline_on(other_vm), "bench", "b.json"), 0);
+}
+
+TEST(PerfCheck, IsaOrWorkerCountMismatchSkipsTheGate) {
+  const la::tune::MachineSignature here = la::tune::machine_signature();
+  la::tune::MachineSignature other_isa = here;
+  other_isa.isa = std::string(here.isa) == "sse2" ? "avx2+fma" : "sse2";
+  EXPECT_EQ(
+      la::bench::check_signature(baseline_on(other_isa), "bench", "b.json"),
+      77);
+  la::tune::MachineSignature other_nt = here;
+  other_nt.threads = here.threads + 1;
+  EXPECT_EQ(
+      la::bench::check_signature(baseline_on(other_nt), "bench", "b.json"),
+      77);
+  // A baseline without a signature, or with a non-canonical one, skips.
+  EXPECT_EQ(la::bench::check_signature(la::bench::BenchFile{}, "bench",
+                                       "b.json"),
+            77);
+  la::bench::BenchFile fixture;
+  fixture.context["machine_signature"] = "fixture";
+  EXPECT_EQ(la::bench::check_signature(fixture, "bench", "b.json"), 77);
 }
 
 }  // namespace

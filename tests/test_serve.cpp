@@ -307,7 +307,7 @@ TEST(ServeAdmissionTest, ShutdownRejectsNewSubmissions) {
 
 TEST(ServeAdmissionTest, ShutdownConcurrentWithSubmitsNeverStrandsJobs) {
   // Regression: a submission that cleared global admission while
-  // shutdown() was setting the shard stopping flags used to push its
+  // shutdown() was setting the dispatcher's stopping flag used to push its
   // units onto a queue whose dispatcher was already joined — the future
   // never resolved and in_flight never drained, hanging wait_idle().
   // Hammer that window from several threads: every future must resolve,
@@ -320,7 +320,7 @@ TEST(ServeAdmissionTest, ShutdownConcurrentWithSubmitsNeverStrandsJobs) {
   build_gesv_problems<double>(kThreads * kJobs, n, 1, 4242, as, bs);
   for (int round = 0; round < kRounds; ++round) {
     std::vector<Matrix<double>> wa = as, wb = bs;
-    Server srv(serve::Config{.flush_us = 50, .shards = 2});
+    Server srv(serve::Config{.flush_us = 50});
     std::vector<std::vector<std::future<JobResult>>> futs(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -508,118 +508,9 @@ TEST(ServeConcurrencyTest, ConcurrentSubmittersAllServedIdentically) {
   EXPECT_EQ(hist_total, static_cast<std::uint64_t>(kThreads * kJobs));
 }
 
-// ---------------------------------------------------------------------------
-// wait_idle and the process-wide statistics view
-
-TEST(ServeStatsTest, WaitIdleDrainsAndProcessStatsMerge) {
-  serve::reset_stats();
-  const idx n = 5;
-  std::vector<Matrix<double>> as, bs;
-  build_gesv_problems<double>(5, n, 1, 4212, as, bs);
-  std::vector<std::future<JobResult>> futs;
-  {
-    Server srv;
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      futs.push_back(srv.gesv(n, idx{1}, as[i].data(), as[i].ld(),
-                              bs[i].data(), bs[i].ld()));
-    }
-    srv.wait_idle();
-    for (auto& f : futs) {
-      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-                std::future_status::ready);
-      EXPECT_EQ(f.get().info, 0);
-    }
-    EXPECT_EQ(srv.stats().completed_jobs, 5u);
-    EXPECT_GT(srv.stats().p99_us(), 0.0);
-    EXPECT_GE(srv.stats().p99_us(), srv.stats().p50_us());
-  }
-  // The server is gone; its totals moved to the retired accumulator.
-  const serve::Stats s = serve::stats();
-  EXPECT_EQ(s.completed_jobs, 5u);
-  EXPECT_EQ(s.completed_entries, 5u);
-  serve::reset_stats();
-  EXPECT_EQ(serve::stats().completed_jobs, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// sharded dispatch
-
-TEST(ServeShardsTest, ConfigAndKnobResolveShardCount) {
-  Server one;
-  EXPECT_EQ(one.shard_count(), 1);  // builtin default: single dispatcher
-  Server four(serve::Config{.queue_depth = 0, .flush_us = 0, .batch_max = 0,
-                            .shards = 4});
-  EXPECT_EQ(four.shard_count(), 4);
-  EXPECT_EQ(four.config().shards, 4);
-  const idx prev = set_env_override(EnvSpec::ServeShards, EnvRoutine::gemm, 3);
-  {
-    Server env_srv;
-    EXPECT_EQ(env_srv.shard_count(), 3);
-  }
-  set_env_override(EnvSpec::ServeShards, EnvRoutine::gemm, prev);
-}
-
-TEST(ServeShardsTest, ShardedResultsBitIdenticalToSingleDispatcher) {
-  const idx count = 16, n = 6, nrhs = 2;
-  std::vector<Matrix<double>> as1, bs1, as4, bs4;
-  build_gesv_problems<double>(count, n, nrhs, 4313, as1, bs1);
-  as4 = as1;
-  bs4 = bs1;
-  const auto run = [&](idx shards, std::vector<Matrix<double>>& as,
-                       std::vector<Matrix<double>>& bs) {
-    Server srv(serve::Config{.queue_depth = 0, .flush_us = 0, .batch_max = 0,
-                             .shards = shards});
-    std::vector<std::future<JobResult>> futs;
-    for (idx i = 0; i < count; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      futs.push_back(srv.gesv(n, nrhs, as[ui].data(), as[ui].ld(),
-                              bs[ui].data(), bs[ui].ld()));
-    }
-    for (auto& f : futs) {
-      EXPECT_EQ(f.get().info, 0);
-    }
-  };
-  run(1, as1, bs1);
-  run(4, as4, bs4);
-  expect_identical(as1, as4);
-  expect_identical(bs1, bs4);
-}
-
-TEST(ServeShardsTest, RoundRobinSpreadsJobsAndStatsMerge) {
-  const idx shards = 4, jobs = 20, n = 4;
-  std::vector<Matrix<double>> as, bs;
-  build_gesv_problems<double>(jobs, n, 1, 4414, as, bs);
-  Server srv(serve::Config{.queue_depth = 0, .flush_us = 0, .batch_max = 0,
-                           .shards = shards});
-  for (idx i = 0; i < jobs; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    EXPECT_EQ(srv.gesv(n, idx{1}, as[ui].data(), as[ui].ld(), bs[ui].data(),
-                       bs[ui].ld())
-                  .get()
-                  .info,
-              0);
-  }
-  const serve::Stats merged = srv.stats();
-  EXPECT_EQ(merged.submitted_jobs, static_cast<std::uint64_t>(jobs));
-  EXPECT_EQ(merged.completed_jobs, static_cast<std::uint64_t>(jobs));
-  std::uint64_t sum = 0;
-  for (idx s = 0; s < srv.shard_count(); ++s) {
-    const serve::Stats ss = srv.shard_stats(s);
-    // Round-robin job placement: each shard carries exactly jobs/shards.
-    EXPECT_EQ(ss.submitted_jobs, static_cast<std::uint64_t>(jobs / shards))
-        << "shard " << s;
-    sum += ss.completed_jobs;
-  }
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(jobs));
-  // Out-of-range shard indices answer empty, never UB.
-  EXPECT_EQ(srv.shard_stats(-1).submitted_jobs, 0u);
-  EXPECT_EQ(srv.shard_stats(shards).submitted_jobs, 0u);
-}
-
-TEST(ServeShardsTest, ConcurrentSubmittersAcrossShardsStayCorrect) {
+TEST(ServeConcurrencyTest, ConcurrentSubmittersMatchDirectGesv) {
   const idx kThreads = 4, kJobs = 12, n = 5;
-  Server srv(serve::Config{.queue_depth = 0, .flush_us = 0, .batch_max = 0,
-                           .shards = 2});
+  Server srv(serve::Config{.queue_depth = 0, .flush_us = 0, .batch_max = 0});
   std::vector<std::vector<Matrix<double>>> as(kThreads), bs(kThreads);
   std::vector<std::vector<Matrix<double>>> ra(kThreads), rb(kThreads);
   for (idx t = 0; t < kThreads; ++t) {
@@ -658,6 +549,39 @@ TEST(ServeShardsTest, ConcurrentSubmittersAcrossShardsStayCorrect) {
     expect_identical(ra[ut], as[ut]);
     expect_identical(rb[ut], bs[ut]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// wait_idle and the process-wide statistics view
+
+TEST(ServeStatsTest, WaitIdleDrainsAndProcessStatsMerge) {
+  serve::reset_stats();
+  const idx n = 5;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(5, n, 1, 4212, as, bs);
+  std::vector<std::future<JobResult>> futs;
+  {
+    Server srv;
+    for (std::size_t i = 0; i < as.size(); ++i) {
+      futs.push_back(srv.gesv(n, idx{1}, as[i].data(), as[i].ld(),
+                              bs[i].data(), bs[i].ld()));
+    }
+    srv.wait_idle();
+    for (auto& f : futs) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      EXPECT_EQ(f.get().info, 0);
+    }
+    EXPECT_EQ(srv.stats().completed_jobs, 5u);
+    EXPECT_GT(srv.stats().p99_us(), 0.0);
+    EXPECT_GE(srv.stats().p99_us(), srv.stats().p50_us());
+  }
+  // The server is gone; its totals moved to the retired accumulator.
+  const serve::Stats s = serve::stats();
+  EXPECT_EQ(s.completed_jobs, 5u);
+  EXPECT_EQ(s.completed_entries, 5u);
+  serve::reset_stats();
+  EXPECT_EQ(serve::stats().completed_jobs, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@
 // a driving process learns where to connect — and the transport + compute
 // statistics on exit.
 //
-//   lapack90_netserve [--port P] [--shards N] [--queue N] [--batch N]
-//                     [--flush-us N]
+//   lapack90_netserve [--port P] [--queue N] [--batch N] [--flush-us N]
 //
 // Every knob left off the command line falls back to its LAPACK90_*
 // environment variable (see net/listener.hpp and serve/server.hpp). Flag
@@ -23,8 +22,7 @@ namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--shards N] [--queue N] [--batch N] "
-               "[--flush-us N]\n",
+               "usage: %s [--port P] [--queue N] [--batch N] [--flush-us N]\n",
                argv0);
 }
 
@@ -41,7 +39,6 @@ int main(int argc, char** argv) {
     la::idx* out;
   } flags[] = {
       {"--port", 65535, &port},
-      {"--shards", env_spec_max(EnvSpec::ServeShards), &cfg.serve.shards},
       {"--queue", env_spec_max(EnvSpec::ServeQueueDepth),
        &cfg.serve.queue_depth},
       {"--batch", env_spec_max(EnvSpec::ServeBatchMax), &cfg.serve.batch_max},
@@ -78,9 +75,8 @@ int main(int argc, char** argv) {
                  cfg.port);
     return 1;
   }
-  std::printf("lapack90_netserve: listening on 127.0.0.1:%d (%d shard%s)\n",
-              listener.port(), static_cast<int>(listener.server().shard_count()),
-              listener.server().shard_count() == 1 ? "" : "s");
+  std::printf("lapack90_netserve: listening on 127.0.0.1:%d\n",
+              listener.port());
   std::fflush(stdout);
 
   // Serve until the controlling process closes stdin (or says quit).

@@ -7,15 +7,11 @@
 # committed baseline and compares GFLOP/s / wall time against it
 # (bench/perf_check.hpp). Exit 0 = all pass, 1 = regression beyond the
 # tolerance (LAPACK90_PERF_GATE_TOL, default 10%), 77 = nothing gated
-# (different machine or LAPACK90_PERF_GATE=off).
+# (another ISA or worker count, or LAPACK90_PERF_GATE=off).
 set -u
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build=${1:-"$repo/build"}
-
-# A developer's cached tuning file must not shift the comparison: the gate
-# measures the build as CI sees it.
-export LAPACK90_TUNE_FILE=off
 
 fail=0
 ran=0

@@ -228,16 +228,12 @@ void BM_DriverGesvx(benchmark::State& state) {
 BENCHMARK(BM_DriverGesvx)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Tiled-factorization thread sweep: the legacy fork-join blocked path vs
-// the task-DAG tiled path (lapack/tiled.hpp) at matched worker counts.
-// Args are {n, workers}. On a single-core container the wall-clock ratio
-// is expected near 1; the scheduler claim there rests on the bit-identity
-// cross-checks in --smoke and ctest -L dag (see EXPERIMENTS.md).
+// Tiled-factorization thread sweep: getrf/potrf/geqrf on the task DAG
+// (lapack/tiled.hpp) at each worker count. Args are {n, workers}.
 // ---------------------------------------------------------------------------
 
-void bench_getrf_with(benchmark::State& state, la::TileScheduler sched) {
+void BM_GetrfTiledDag(benchmark::State& state) {
   const idx n = state.range(0);
-  const auto prev_sched = la::set_tile_scheduler(sched);
   const idx prev_nt = la::set_num_threads(state.range(1));
   const auto a0 = random_mat(n, n, 23);
   std::vector<idx> piv(static_cast<std::size_t>(n));
@@ -248,27 +244,14 @@ void bench_getrf_with(benchmark::State& state, la::TileScheduler sched) {
   }
   state.SetItemsProcessed(state.iterations());
   la::set_num_threads(prev_nt);
-  la::set_tile_scheduler(prev_sched);
 }
-
-void BM_GetrfForkJoin(benchmark::State& state) {
-  bench_getrf_with(state, la::TileScheduler::ForkJoin);
-}
-void BM_GetrfTiledDag(benchmark::State& state) {
-  bench_getrf_with(state, la::TileScheduler::TiledDag);
-}
-BENCHMARK(BM_GetrfForkJoin)
-    ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"n", "workers"})
-    ->ArgsProduct({{512, 1024, 2048}, {1, 2, 4}});
 BENCHMARK(BM_GetrfTiledDag)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"n", "workers"})
     ->ArgsProduct({{512, 1024, 2048}, {1, 2, 4}});
 
-void bench_potrf_with(benchmark::State& state, la::TileScheduler sched) {
+void BM_PotrfTiledDag(benchmark::State& state) {
   const idx n = state.range(0);
-  const auto prev_sched = la::set_tile_scheduler(sched);
   const idx prev_nt = la::set_num_threads(state.range(1));
   const auto a0 = spd_mat(n, 24);
   for (auto _ : state) {
@@ -277,27 +260,14 @@ void bench_potrf_with(benchmark::State& state, la::TileScheduler sched) {
     benchmark::DoNotOptimize(a.data());
   }
   la::set_num_threads(prev_nt);
-  la::set_tile_scheduler(prev_sched);
 }
-
-void BM_PotrfForkJoin(benchmark::State& state) {
-  bench_potrf_with(state, la::TileScheduler::ForkJoin);
-}
-void BM_PotrfTiledDag(benchmark::State& state) {
-  bench_potrf_with(state, la::TileScheduler::TiledDag);
-}
-BENCHMARK(BM_PotrfForkJoin)
-    ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"n", "workers"})
-    ->ArgsProduct({{1024}, {1, 4}});
 BENCHMARK(BM_PotrfTiledDag)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"n", "workers"})
     ->ArgsProduct({{1024}, {1, 4}});
 
-void bench_geqrf_with(benchmark::State& state, la::TileScheduler sched) {
+void BM_GeqrfTiledDag(benchmark::State& state) {
   const idx n = state.range(0);
-  const auto prev_sched = la::set_tile_scheduler(sched);
   const idx prev_nt = la::set_num_threads(state.range(1));
   const auto a0 = random_mat(n, n, 25);
   std::vector<double> tau(static_cast<std::size_t>(n));
@@ -307,19 +277,7 @@ void bench_geqrf_with(benchmark::State& state, la::TileScheduler sched) {
     benchmark::DoNotOptimize(a.data());
   }
   la::set_num_threads(prev_nt);
-  la::set_tile_scheduler(prev_sched);
 }
-
-void BM_GeqrfForkJoin(benchmark::State& state) {
-  bench_geqrf_with(state, la::TileScheduler::ForkJoin);
-}
-void BM_GeqrfTiledDag(benchmark::State& state) {
-  bench_geqrf_with(state, la::TileScheduler::TiledDag);
-}
-BENCHMARK(BM_GeqrfForkJoin)
-    ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"n", "workers"})
-    ->ArgsProduct({{1024}, {1, 4}});
 BENCHMARK(BM_GeqrfTiledDag)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"n", "workers"})
@@ -328,9 +286,10 @@ BENCHMARK(BM_GeqrfTiledDag)
 // ---------------------------------------------------------------------------
 // --smoke: self-check for the tiled path inside the ctest loop. Asserts
 // the DESIGN.md section-14 determinism contract (DAG bit-identical across
-// worker counts, pivots equal) and a generous
-// timing bound (tiled getrf no slower than 3x fork-join at n=512 — the
-// point is catching pathological scheduling regressions, not measuring).
+// worker counts, pivots equal) and a generous timing bound (getrf at the
+// current team size no slower than 3x the same call on 1 worker, the
+// serial drain, at n=512 — the point is catching pathological scheduling
+// regressions, not measuring).
 // ---------------------------------------------------------------------------
 
 template <class F>
@@ -356,17 +315,15 @@ int run_smoke() {
   };
   const idx n = 320;
   const idx prev_nb =
-      la::set_env_override(la::EnvSpec::TileSize, la::EnvRoutine::getrf, 64);
+      la::set_env_override(la::EnvSpec::BlockSize, la::EnvRoutine::getrf, 64);
   const auto a0 = random_mat(n, n, 31);
   const auto factor = [&](idx workers, la::Matrix<double>& f,
                           std::vector<idx>& piv) {
-    const auto ps = la::set_tile_scheduler(la::TileScheduler::TiledDag);
     const idx pt = la::set_num_threads(workers);
     f = a0;
     piv.assign(static_cast<std::size_t>(n), -1);
     la::lapack::getrf(n, n, f.data(), f.ld(), piv.data());
     la::set_num_threads(pt);
-    la::set_tile_scheduler(ps);
   };
   la::Matrix<double> dag1(n, n), dag4(n, n);
   std::vector<idx> p1, p4;
@@ -379,31 +336,30 @@ int run_smoke() {
     }
   }
   check(bits14, "tiled getrf bit-identity across 1 vs 4 workers");
-  la::set_env_override(la::EnvSpec::TileSize, la::EnvRoutine::getrf, prev_nb);
+  la::set_env_override(la::EnvSpec::BlockSize, la::EnvRoutine::getrf, prev_nb);
 
   // Generous perf bound at the shipped tile schedule.
   const idx np = 512;
+  const idx team = la::num_threads();
   const auto b0 = random_mat(np, np, 32);
   std::vector<idx> piv(static_cast<std::size_t>(np));
-  const auto run_once = [&](la::TileScheduler s) {
-    const auto ps = la::set_tile_scheduler(s);
+  const auto run_once = [&](idx workers) {
+    const idx pt = la::set_num_threads(workers);
     la::Matrix<double> a = b0;
     la::lapack::getrf(np, np, a.data(), a.ld(), piv.data());
     benchmark::DoNotOptimize(a.data());
-    la::set_tile_scheduler(ps);
+    la::set_num_threads(pt);
   };
-  const double t_fork =
-      time_best_of(3, [&] { run_once(la::TileScheduler::ForkJoin); });
-  const double t_dag =
-      time_best_of(3, [&] { run_once(la::TileScheduler::TiledDag); });
-  check(t_dag <= 3.0 * t_fork + 1e-3,
-        "tiled getrf within 3x of fork-join at n=512");
+  const double t_serial = time_best_of(3, [&] { run_once(1); });
+  const double t_team = time_best_of(3, [&] { run_once(team); });
+  check(t_team <= 3.0 * t_serial + 1e-3,
+        "tiled getrf at the team size within 3x of 1 worker at n=512");
   std::printf(
-      "bench_drivers --smoke (threads=%lld): getrf n=%lld fork-join %.1f ms, "
-      "tiled DAG %.1f ms (ratio %.2f); bit-identity %s\n",
-      static_cast<long long>(la::num_threads()), static_cast<long long>(np),
-      1e3 * t_fork, 1e3 * t_dag, t_dag / t_fork,
-      failures == 0 ? "OK" : "FAILED");
+      "bench_drivers --smoke (threads=%lld): getrf n=%lld 1 worker %.1f ms, "
+      "%lld workers %.1f ms (ratio %.2f); bit-identity %s\n",
+      static_cast<long long>(team), static_cast<long long>(np),
+      1e3 * t_serial, static_cast<long long>(team), 1e3 * t_team,
+      t_team / t_serial, failures == 0 ? "OK" : "FAILED");
   return failures == 0 ? 0 : 1;
 }
 

@@ -8,7 +8,7 @@
 //
 // Value resolution (most to least authoritative):
 //
-//   1. environment variable (LAPACK90_GEMM_KC, LAPACK90_TILE_NB, ...) — a
+//   1. environment variable (LAPACK90_GEMM_KC, LAPACK90_SERVE_BATCH, ...) — a
 //      deployment-level pin that beats everything programmatic;
 //   2. set_env_override — the process-wide programmatic override;
 //   3. builtin default — the hand-measured constants in src/env.cpp.
@@ -26,7 +26,8 @@ namespace la {
 /// Tuning query kinds, mirroring ILAENV's ISPEC values we use (ISPEC 2,
 /// NBMIN, is not one of them).
 enum class EnvSpec : int {
-  BlockSize = 1,       ///< optimal block size NB
+  BlockSize = 1,       ///< optimal block size NB; for getrf/potrf/geqrf the
+                       ///< tile edge of the task-DAG drivers
   Crossover = 3,       ///< crossover point N below which unblocked is used
                        ///< (for EnvRoutine::gemm: the m*n*k flop-product
                        ///< below which the packed path is skipped)
@@ -47,23 +48,17 @@ enum class EnvSpec : int {
                           ///< below which demote/refine is not attempted and
                           ///< the driver goes straight to full precision
                           ///< with ITER = -1 (extension; LAPACK90_IR_CUTOFF)
-  TileSize = 11,       ///< tile edge NB for the task-DAG tiled factorizations
-                       ///< (extension; LAPACK90_TILE_NB)
-  TileScheduler = 12,  ///< factorization scheduler: 1 = legacy fork-join
-                       ///< blocked path, any other value = tiled task-DAG
-                       ///< with lookahead (default 3; extension;
-                       ///< LAPACK90_TILE_SCHEDULER)
-  ServeQueueDepth = 13,  ///< serving subsystem admission bound: maximum
+  ServeQueueDepth = 11,  ///< serving subsystem admission bound: maximum
                          ///< admitted-but-uncompleted job entries per
                          ///< la::serve::Server before submissions are
                          ///< rejected with INFO = kInfoRejected (extension;
                          ///< LAPACK90_SERVE_QUEUE)
-  ServeFlushUs = 14,   ///< serving subsystem coalescing deadline in
+  ServeFlushUs = 12,   ///< serving subsystem coalescing deadline in
                        ///< microseconds: a pending coalesce group is flushed
                        ///< to the batch drivers once its oldest entry has
                        ///< waited this long, bounding latency under light
                        ///< load (extension; LAPACK90_SERVE_FLUSH_US)
-  ServeBatchMax = 15,  ///< serving subsystem coalescing width: a group is
+  ServeBatchMax = 13,  ///< serving subsystem coalescing width: a group is
                        ///< flushed as soon as it holds this many entries;
                        ///< 1 disables coalescing (per-job execution)
                        ///< (extension; LAPACK90_SERVE_BATCH)
@@ -86,7 +81,7 @@ enum class EnvRoutine : int {
 
 /// Extent of the (spec, routine) table: specs are 1-based ISPEC values;
 /// the unused ISPEC 2 keeps its row and is never a valid slot.
-inline constexpr int kEnvSpecCount = 15;
+inline constexpr int kEnvSpecCount = 13;
 inline constexpr int kEnvRoutineCount = static_cast<int>(EnvRoutine::count_);
 
 namespace detail {
@@ -101,7 +96,7 @@ namespace detail {
 
 /// Hardened environment knob: `getenv(name)` through parse_env_idx. The one
 /// shared reader behind every LAPACK90_* integer variable (thread count,
-/// gemm cache blocks, batch grain, refinement knobs, tile size/scheduler) —
+/// gemm cache blocks, batch grain, refinement knobs, serving knobs) —
 /// malformed or out-of-range settings fall back instead of misconfiguring.
 [[nodiscard]] idx env_knob(const char* name, idx max_value,
                            idx fallback) noexcept;
@@ -118,8 +113,8 @@ namespace detail {
 }
 
 /// Largest legal value per spec: the same clamp the env readers and
-/// set_env_override both apply (e.g. TileScheduler at 3, thread counts at
-/// 2^15, block sizes at 2^20).
+/// set_env_override both apply (e.g. thread counts at 2^15, block sizes at
+/// 2^20).
 [[nodiscard]] idx env_spec_max(EnvSpec spec) noexcept;
 
 /// Environment variable carrying this spec's pin, or nullptr when the spec

@@ -4,7 +4,7 @@
 // definite systems — the substrate under LA_POSV / LA_POSVX / LA_POTRF /
 // LA_PPSV / LA_PBSV:
 //
-//   potf2 / potrf    unblocked / blocked dense Cholesky
+//   potf2 / potrf    unblocked / tiled (task-DAG) dense Cholesky
 //   potrs / posv     solve / driver
 //   pocon            reciprocal condition estimate
 //   porfs            iterative refinement with error bounds
@@ -100,61 +100,21 @@ idx potf2(Uplo uplo, idx n, T* a, idx lda) noexcept {
   return 0;
 }
 
-/// Blocked Cholesky (xPOTRF). Past the blocking crossover the tiled
-/// task-DAG path (lapack/tiled.hpp) takes over unless
-/// LAPACK90_TILE_SCHEDULER=1 selects the legacy fork-join loop.
+/// Cholesky (xPOTRF). Same contract as potf2. Past the blocking crossover,
+/// when the matrix spans at least two tiles of edge
+/// NB = ilaenv(BlockSize, potrf), the factorization runs as tile kernels on
+/// the task DAG (lapack/tiled.hpp); a non-positive-definite diagonal tile
+/// cancels the graph with the same INFO. Otherwise potf2 runs.
 template <Scalar T>
 idx potrf(Uplo uplo, idx n, T* a, idx lda) {
-  if (n == 0) {
-    return 0;
-  }
-  if (tiled::enabled(EnvRoutine::potrf, n, n)) {
-    return tiled::potrf(uplo, n, a, lda);
-  }
-  const idx nb = block_size(EnvRoutine::potrf, n);
-  if (nb <= 1 || nb >= n) {
+  const idx nb = tiled::detail::tile_edge(EnvRoutine::potrf, n);
+  if (nb == 0) {
     return potf2(uplo, n, a, lda);
   }
-  using R = real_t<T>;
-  for (idx j = 0; j < n; j += nb) {
-    const idx jb = std::min<idx>(nb, n - j);
-    T* ajj = a + static_cast<std::size_t>(j) * lda + j;
-    // Update the diagonal block with the preceding panels, then factor it.
-    if (uplo == Uplo::Upper) {
-      blas::herk(Uplo::Upper, conj_trans_for<T>(), jb, j, R(-1),
-                 a + static_cast<std::size_t>(j) * lda, lda, R(1), ajj, lda);
-      const idx info = potf2(Uplo::Upper, jb, ajj, lda);
-      if (info != 0) {
-        return info + j;
-      }
-      if (j + jb < n) {
-        // A12 update and triangular solve: U12 = U11^{-H} (A12 - U01^H U02).
-        blas::gemm(conj_trans_for<T>(), Trans::NoTrans, jb, n - j - jb, j,
-                   T(-1), a + static_cast<std::size_t>(j) * lda, lda,
-                   a + static_cast<std::size_t>(j + jb) * lda, lda, T(1),
-                   a + static_cast<std::size_t>(j + jb) * lda + j, lda);
-        blas::trsm(Side::Left, Uplo::Upper, conj_trans_for<T>(),
-                   Diag::NonUnit, jb, n - j - jb, T(1), ajj, lda,
-                   a + static_cast<std::size_t>(j + jb) * lda + j, lda);
-      }
-    } else {
-      blas::herk(Uplo::Lower, Trans::NoTrans, jb, j, R(-1), a + j, lda, R(1),
-                 ajj, lda);
-      const idx info = potf2(Uplo::Lower, jb, ajj, lda);
-      if (info != 0) {
-        return info + j;
-      }
-      if (j + jb < n) {
-        blas::gemm(Trans::NoTrans, conj_trans_for<T>(), n - j - jb, jb, j,
-                   T(-1), a + j + jb, lda, a + j, lda, T(1),
-                   a + static_cast<std::size_t>(j) * lda + j + jb, lda);
-        blas::trsm(Side::Right, Uplo::Lower, conj_trans_for<T>(),
-                   Diag::NonUnit, n - j - jb, jb, T(1), ajj, lda,
-                   a + static_cast<std::size_t>(j) * lda + j + jb, lda);
-      }
-    }
-  }
-  return 0;
+  tiled::detail::CholTiles<T> t{uplo, n, nb, a, lda};
+  TaskGraph g;
+  tiled::detail::build(g, t);
+  return g.run();
 }
 
 /// Solve A X = B from potrf factors (xPOTRS).

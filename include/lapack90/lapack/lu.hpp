@@ -5,7 +5,7 @@
 // LA_GEEQU:
 //
 //   getf2   unblocked right-looking LU with partial pivoting
-//   getrf   blocked LU (Level-3 update), block size from ilaenv
+//   getrf   tiled LU on the task DAG, tile edge NB from ilaenv
 //   getrs   triangular solves against the computed factors
 //   getri   matrix inverse from the factors
 //   gecon   reciprocal condition number estimate (Higham estimator)
@@ -70,55 +70,23 @@ idx getf2(idx m, idx n, T* a, idx lda, idx* ipiv) noexcept {
   return info;
 }
 
-/// Blocked LU with partial pivoting (xGETRF). Same contract as getf2; the
-/// trailing update runs through trsm/gemm so most flops are Level 3. Past
-/// the blocking crossover the tiled task-DAG path (lapack/tiled.hpp) takes
-/// over unless LAPACK90_TILE_SCHEDULER=1 selects the legacy fork-join loop.
+/// LU with partial pivoting (xGETRF). Same contract as getf2. Past the
+/// blocking crossover, when the problem spans at least two tiles of edge
+/// NB = ilaenv(BlockSize, getrf), the factorization runs as tile kernels on
+/// the task DAG with panel lookahead (lapack/tiled.hpp), so most flops are
+/// Level 3; otherwise getf2 runs.
 template <Scalar T>
 idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
-  idx info = 0;
   const idx k = std::min(m, n);
-  if (k == 0) {
-    return 0;
-  }
-  if (tiled::enabled(EnvRoutine::getrf, m, n)) {
-    return tiled::getrf(m, n, a, lda, ipiv);
-  }
-  const idx nb = block_size(EnvRoutine::getrf, k);
-  if (nb <= 1 || nb >= k) {
+  const idx nb = tiled::detail::tile_edge(EnvRoutine::getrf, k);
+  if (nb == 0) {
     return getf2(m, n, a, lda, ipiv);
   }
-  for (idx j = 0; j < k; j += nb) {
-    const idx jb = std::min<idx>(nb, k - j);
-    // Factor the current panel.
-    const idx pinfo =
-        getf2(m - j, jb, a + static_cast<std::size_t>(j) * lda + j, lda,
-              ipiv + j);
-    if (pinfo != 0 && info == 0) {
-      info = pinfo + j;
-    }
-    for (idx i = j; i < j + jb; ++i) {
-      ipiv[i] += j;
-    }
-    // Apply the panel's interchanges to the columns outside it.
-    laswp(j, a, lda, j, j + jb, ipiv);
-    if (j + jb < n) {
-      laswp(n - j - jb, a + static_cast<std::size_t>(j + jb) * lda, lda, j,
-            j + jb, ipiv);
-      // U12 := L11^{-1} A12.
-      blas::trsm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, jb,
-                 n - j - jb, T(1), a + static_cast<std::size_t>(j) * lda + j,
-                 lda, a + static_cast<std::size_t>(j + jb) * lda + j, lda);
-      // A22 -= L21 U12.
-      if (j + jb < m) {
-        blas::gemm(Trans::NoTrans, Trans::NoTrans, m - j - jb, n - j - jb, jb,
-                   T(-1), a + static_cast<std::size_t>(j) * lda + j + jb, lda,
-                   a + static_cast<std::size_t>(j + jb) * lda + j, lda, T(1),
-                   a + static_cast<std::size_t>(j + jb) * lda + j + jb, lda);
-      }
-    }
-  }
-  return info;
+  tiled::detail::LuTiles<T> t{m, n, k, nb, a, lda, ipiv};
+  TaskGraph g;
+  tiled::detail::build(g, t);
+  g.run();
+  return t.finish();
 }
 
 /// Solve op(A) X = B from getrf factors (xGETRS). B is n x nrhs.

@@ -6,7 +6,7 @@
 //
 //   larfg / larf          elementary reflector generation / application
 //   larft / larfb         block reflector T-factor / application
-//   geqr2 / geqrf         unblocked / blocked QR
+//   geqr2 / geqrf         unblocked / tiled (task-DAG) QR
 //   orgqr / ormqr         form Q / multiply by Q (or Q^H)
 //   gelq2 / gelqf         LQ factorization
 //   orglq / ormlq         LQ analogs
@@ -411,41 +411,28 @@ void geqr2(idx m, idx n, T* a, idx lda, T* tau, T* work) noexcept {
   }
 }
 
-/// Blocked QR factorization (xGEQRF). Past the blocking crossover the
-/// tiled task-DAG path (lapack/tiled.hpp) takes over unless
-/// LAPACK90_TILE_SCHEDULER=1 selects the legacy fork-join loop. Returns 0,
-/// or -100 when a tiled workspace probe fails (see core/error.hpp).
+/// QR factorization (xGEQRF). Past the blocking crossover, when the
+/// problem spans at least two column tiles of edge
+/// NB = ilaenv(BlockSize, geqrf), the factorization runs as blocked
+/// Householder tile kernels on the task DAG (lapack/tiled.hpp); otherwise
+/// geqr2 runs. Returns 0, or -100 when a tile workspace probe fails (see
+/// core/error.hpp).
 template <Scalar T>
 idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {
   const idx k = std::min(m, n);
-  if (k == 0) {
-    return 0;
-  }
-  if (tiled::enabled(EnvRoutine::geqrf, m, n)) {
-    return tiled::geqrf(m, n, a, lda, tau);
-  }
-  const idx nb = block_size(EnvRoutine::geqrf, k);
-  std::vector<T> work(static_cast<std::size_t>(std::max(m, n)) *
-                      std::max<idx>(nb, 1));
-  if (nb <= 1 || nb >= k) {
+  const idx nb = tiled::detail::tile_edge(EnvRoutine::geqrf, k);
+  if (nb == 0) {
+    std::vector<T> work(static_cast<std::size_t>(std::max<idx>(n, 1)));
     geqr2(m, n, a, lda, tau, work.data());
     return 0;
   }
-  std::vector<T> t(static_cast<std::size_t>(nb) * nb);
-  for (idx i = 0; i < k; i += nb) {
-    const idx ib = std::min<idx>(nb, k - i);
-    geqr2(m - i, ib, a + static_cast<std::size_t>(i) * lda + i, lda, tau + i,
-          work.data());
-    if (i + ib < n) {
-      larft(m - i, ib, a + static_cast<std::size_t>(i) * lda + i, lda, tau + i,
-            t.data(), ib);
-      larfb(Side::Left, conj_trans_for<T>(), m - i, n - i - ib, ib,
-            a + static_cast<std::size_t>(i) * lda + i, lda, t.data(), ib,
-            a + static_cast<std::size_t>(i + ib) * lda + i, lda, work.data(),
-            std::max<idx>(n - i - ib, 1));
-    }
-  }
-  return 0;
+  // One nb x nb T factor per panel step.
+  std::vector<T> tstore(static_cast<std::size_t>((k + nb - 1) / nb) * nb *
+                        nb);
+  tiled::detail::QrTiles<T> t{m, n, k, nb, a, lda, tau, tstore.data()};
+  TaskGraph g;
+  tiled::detail::build(g, t);
+  return g.run();
 }
 
 namespace detail {

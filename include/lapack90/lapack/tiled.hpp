@@ -1,16 +1,18 @@
 // lapack90/lapack/tiled.hpp
 //
-// Task-DAG tiled factorizations: getrf / potrf / geqrf recast onto square
+// Task-DAG tiled factorizations: the tile structs and graph builders behind
+// lapack::getrf / potrf / geqrf. Each recasts its factorization onto square
 // tile kernels (getrf_tile, trsm_tile, gemm_tile, herk_tile, larfb_tile)
 // scheduled by core/dag.hpp with panel lookahead — panel k+1 factors as
 // soon as the tiles feeding it drain, while step-k trailing updates are
-// still in flight. The legacy fork-join blocked paths remain selectable
-// via LAPACK90_TILE_SCHEDULER=1 for fallback and A/B benching.
+// still in flight. The tile edge is ilaenv's NB (EnvSpec::BlockSize); the
+// drivers in lu.hpp, cholesky.hpp and qr.hpp gate on it
+// (tiled_fwd.hpp, detail::tile_edge).
 //
 // Each factorization is split into a build step (detail::build declares
 // every tile task with the tiles it reads and writes; TaskGraph derives the
-// edges) and a run step (TaskGraph::run). Tiles are keyed by (row tile,
-// column tile) for LU and Cholesky and by column tile for QR.
+// edges) and a run step (TaskGraph::run, in the driver). Tiles are keyed by
+// (row tile, column tile) for LU and Cholesky and by column tile for QR.
 //
 // Determinism: a tile's value is produced by a fixed chain of kernel calls
 // (ordered by panel step), and every pair of tasks that touch the same
@@ -33,7 +35,6 @@
 
 #include "lapack90/blas/level3.hpp"
 #include "lapack90/core/dag.hpp"
-#include "lapack90/core/env.hpp"
 #include "lapack90/core/error.hpp"
 #include "lapack90/core/types.hpp"
 #include "lapack90/lapack/aux.hpp"
@@ -42,9 +43,7 @@
 #include "lapack90/lapack/qr.hpp"
 #include "lapack90/lapack/tiled_fwd.hpp"
 
-namespace la::lapack::tiled {
-
-namespace detail {
+namespace la::lapack::tiled::detail {
 
 /// Half-open index range [lo, hi) — one tile edge.
 struct Range {
@@ -376,66 +375,4 @@ void build(TaskGraph& g, QrTiles<T>& t) {
   }
 }
 
-}  // namespace detail
-
-/// Tiled LU with partial pivoting. Contract matches lapack::getrf; the
-/// tile edge comes from LAPACK90_TILE_NB. Degenerate shapes never build a
-/// graph.
-template <Scalar T>
-idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
-  const idx k = std::min(m, n);
-  if (k <= 0) {
-    return 0;  // quick return: no graph, no workspace
-  }
-  const idx nb = tile_nb(EnvRoutine::getrf, k);
-  if (nb <= 1 || k <= nb) {
-    return getf2(m, n, a, lda, ipiv);  // single tile: unblocked, no graph
-  }
-  detail::LuTiles<T> t{m, n, k, nb, a, lda, ipiv};
-  TaskGraph g;
-  detail::build(g, t);
-  g.run();
-  return t.finish();
-}
-
-/// Tiled Cholesky. Contract matches lapack::potrf (info = 1-based order of
-/// the first non-positive-definite leading minor).
-template <Scalar T>
-idx potrf(Uplo uplo, idx n, T* a, idx lda) {
-  if (n <= 0) {
-    return 0;
-  }
-  const idx nb = tile_nb(EnvRoutine::potrf, n);
-  if (nb <= 1 || n <= nb) {
-    return potf2(uplo, n, a, lda);
-  }
-  detail::CholTiles<T> t{uplo, n, nb, a, lda};
-  TaskGraph g;
-  detail::build(g, t);
-  return g.run();
-}
-
-/// Tiled blocked-Householder QR. Returns 0, or -100 when a tile-workspace
-/// probe fails (the probe cancels the remaining task graph).
-template <Scalar T>
-idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {
-  const idx k = std::min(m, n);
-  if (k <= 0) {
-    return 0;
-  }
-  const idx nb = tile_nb(EnvRoutine::geqrf, k);
-  const idx steps = (k + nb - 1) / nb;
-  if (nb <= 1 || k <= nb) {
-    // Single tile: plain unblocked path, no graph, no T storage.
-    std::vector<T> work(static_cast<std::size_t>(std::max<idx>(n, 1)));
-    geqr2(m, n, a, lda, tau, work.data());
-    return 0;
-  }
-  std::vector<T> tstore(static_cast<std::size_t>(steps) * nb * nb);
-  detail::QrTiles<T> t{m, n, k, nb, a, lda, tau, tstore.data()};
-  TaskGraph g;
-  detail::build(g, t);
-  return g.run();
-}
-
-}  // namespace la::lapack::tiled
+}  // namespace la::lapack::tiled::detail

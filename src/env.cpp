@@ -54,12 +54,9 @@ bool valid_env_slot(EnvSpec spec, EnvRoutine routine) noexcept {
 idx env_spec_max(EnvSpec spec) noexcept {
   switch (spec) {
     case EnvSpec::BlockSize:
-    case EnvSpec::TileSize:
       return idx{1} << 20;
     case EnvSpec::Threads:
       return idx{1} << 15;  // matches the parallel runtime's env clamp
-    case EnvSpec::TileScheduler:
-      return 3;  // 1 = ForkJoin, any other value = TiledDag
     case EnvSpec::ServeQueueDepth:
     case EnvSpec::ServeBatchMax:
       return idx{1} << 20;
@@ -90,10 +87,6 @@ const char* env_knob_name(EnvSpec spec) noexcept {
       return "LAPACK90_IR_MAXITER";
     case EnvSpec::IterRefineCutoff:
       return "LAPACK90_IR_CUTOFF";
-    case EnvSpec::TileSize:
-      return "LAPACK90_TILE_NB";
-    case EnvSpec::TileScheduler:
-      return "LAPACK90_TILE_SCHEDULER";
     case EnvSpec::ServeQueueDepth:
       return "LAPACK90_SERVE_QUEUE";
     case EnvSpec::ServeFlushUs:
@@ -130,10 +123,23 @@ struct Defaults {
 // crosses between n=128 and 256, sytrd and gebrd between 256 and 512.
 // Machines with ordinary cache hierarchies cross earlier; pin the
 // crossover with set_env_override where that matters.
+//
+// getrf, potrf and geqrf are the exception: their NB is the tile edge of the
+// task DAG (lapack/tiled.hpp). LU tiles in 2D: an nb=128 tile pair of
+// complex<double> stays in L2, and getrf time is flat between 64 and 128. QR
+// tiles are full-height column tiles, so each step's panel (geqr2 + larft down
+// all remaining rows) sits serially on the critical path and only n/nb column
+// tiles update in parallel. Halving the edge to 64 halves that panel chain and
+// doubles the parallelism: geqrf 2048x1024 on a 4-core AVX-512 Xeon, 4 workers,
+// 90 ms at 64 vs 164 ms at 128. Cholesky is fastest at 64 too: potrf 1024 on
+// the same host reads 11.0 ms at 64 vs 16.6 ms at 128 on 4 workers and 29.7 vs
+// 40.5 ms on 1, and 64 is no slower at n = 512 or 2048 (EXPERIMENTS.md, medians
+// of 5 over nb 64/96/128). The crossover is 128 for all three, so a blocked
+// call spans at least two tiles.
 constexpr std::array<Defaults, kRoutines> kDefaults = {{
-    {64, 128},  // getrf
+    {128, 128},  // getrf
     {64, 128},  // potrf
-    {32, 128},  // geqrf
+    {64, 128},  // geqrf
     {32, 128},  // gelqf
     {32, 128},  // ormqr (also the org* accumulation family)
     {64, 64},   // getri
@@ -150,27 +156,16 @@ constexpr std::array<Defaults, kRoutines> kDefaults = {{
 // compile-time per-ISA constant in blas/level3.hpp); 256 is where a single
 // dgetrf stops being "tiny" for the batch scheduler; the refinement knobs
 // follow the reference DSGESV (ITERMAX=30) and the measured demote/refine
-// round-trip break-even; TileScheduler 3 = task-DAG with lookahead. The
+// round-trip break-even. The
 // cache blocks are fixed rather than derived from the machine: on a 4-core
 // AVX-512 Xeon, five MC/KC/NC settings from 128/256/512 to 384/256/4096
 // all timed n=1024 dgemm inside one setting's own run-to-run spread.
-//
-// TileSize is per routine. LU and Cholesky tile in 2D: an nb=128 tile pair
-// of complex<double> stays in L2, and their times are flat between 64 and
-// 128. QR tiles are full-height column tiles, so each step's panel
-// (geqr2 + larft down all remaining rows) sits serially on the critical
-// path and only n/nb column tiles update in parallel. Halving the edge to
-// 64 halves that panel chain and doubles the parallelism: geqrf 2048x1024
-// on a 4-core AVX-512 Xeon, 4 workers, 90 ms at 64 vs 164 ms at 128.
 constexpr idx kGemmMCDefault = 128;
 constexpr idx kGemmKCDefault = 256;
 constexpr idx kGemmNCDefault = 512;
 constexpr idx kBatchGrainDefault = 256;
 constexpr idx kIrMaxIterDefault = 30;
 constexpr idx kIrCutoffDefault = 64;
-constexpr idx kTileNbDefault = 128;
-constexpr idx kTileNbQrDefault = 64;
-constexpr idx kTileSchedulerDefault = 3;
 // Serving defaults: 4096 in-flight entries bounds a server's memory and
 // tail latency without starving the load generator's saturation runs; a
 // 200 us flush deadline caps the coalescer's added latency at roughly the
@@ -201,10 +196,6 @@ idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
       return kIrMaxIterDefault;
     case EnvSpec::IterRefineCutoff:
       return kIrCutoffDefault;
-    case EnvSpec::TileSize:
-      return routine == EnvRoutine::geqrf ? kTileNbQrDefault : kTileNbDefault;
-    case EnvSpec::TileScheduler:
-      return kTileSchedulerDefault;
     case EnvSpec::ServeQueueDepth:
       return kServeQueueDefault;
     case EnvSpec::ServeFlushUs:
@@ -303,8 +294,7 @@ idx set_env_override(EnvSpec spec, EnvRoutine routine, idx value) noexcept {
   std::atomic<idx>& slot = overrides()[detail::env_slot(spec, routine)];
   if (value < 0 || value > detail::env_spec_max(spec)) {
     // Rejected with the env readers' clamping rules: the slot keeps its
-    // current setting instead of storing a team size of -3 or a
-    // TileScheduler of 7 verbatim.
+    // current setting instead of storing a team size of -3 verbatim.
     return slot.load(std::memory_order_relaxed);
   }
   return slot.exchange(value, std::memory_order_relaxed);

@@ -18,10 +18,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <random>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,25 +30,27 @@ namespace la::test {
 namespace {
 
 // ---------------------------------------------------------------------------
-// RAII overrides: scheduler mode, tile size (all three routines), workers.
+// RAII overrides: tile edge (all three routines), workers.
 // ---------------------------------------------------------------------------
 
-struct SchedulerGuard {
-  TileScheduler prev;
-  explicit SchedulerGuard(TileScheduler s) : prev(set_tile_scheduler(s)) {}
-  ~SchedulerGuard() { set_tile_scheduler(prev); }
-};
-
+/// Tile edge nb (EnvSpec::BlockSize) for getrf/potrf/geqrf, with the
+/// crossover dropped to 2 so that every problem spanning two tiles runs on
+/// the DAG, including the small shapes of the random-order drains.
 struct TileNbGuard {
-  idx pg, pp, pq;
-  explicit TileNbGuard(idx nb)
-      : pg(set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, nb)),
-        pp(set_env_override(EnvSpec::TileSize, EnvRoutine::potrf, nb)),
-        pq(set_env_override(EnvSpec::TileSize, EnvRoutine::geqrf, nb)) {}
+  static constexpr EnvRoutine kRoutines[] = {
+      EnvRoutine::getrf, EnvRoutine::potrf, EnvRoutine::geqrf};
+  idx prev_nb[3]{}, prev_nx[3]{};
+  explicit TileNbGuard(idx nb) {
+    for (int i = 0; i < 3; ++i) {
+      prev_nb[i] = set_env_override(EnvSpec::BlockSize, kRoutines[i], nb);
+      prev_nx[i] = set_env_override(EnvSpec::Crossover, kRoutines[i], 2);
+    }
+  }
   ~TileNbGuard() {
-    set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, pg);
-    set_env_override(EnvSpec::TileSize, EnvRoutine::potrf, pp);
-    set_env_override(EnvSpec::TileSize, EnvRoutine::geqrf, pq);
+    for (int i = 0; i < 3; ++i) {
+      set_env_override(EnvSpec::BlockSize, kRoutines[i], prev_nb[i]);
+      set_env_override(EnvSpec::Crossover, kRoutines[i], prev_nx[i]);
+    }
   }
 };
 
@@ -441,12 +441,11 @@ TYPED_TEST(TiledFactorTest, RandomTopologicalOrdersAreBitIdentical) {
       const Matrix<T> a0 = random_matrix<T>(m, n, seed);
       const idx k = std::min(m, n);
       {
-        const idx nb = lapack::tiled::tile_nb(EnvRoutine::getrf, k);
+        const idx nb = td::tile_edge(EnvRoutine::getrf, k);
+        ASSERT_EQ(nb, 16);
         Matrix<T> ref = a0;
         std::vector<idx> pref(static_cast<std::size_t>(k), -1);
-        ASSERT_EQ(lapack::tiled::getrf(m, n, ref.data(), ref.ld(),
-                                       pref.data()),
-                  0);
+        ASSERT_EQ(lapack::getrf(m, n, ref.data(), ref.ld(), pref.data()), 0);
         for (std::uint64_t rs = 0; rs < kSeeds; ++rs) {
           Matrix<T> f = a0;
           std::vector<idx> piv(static_cast<std::size_t>(k), -1);
@@ -460,12 +459,11 @@ TYPED_TEST(TiledFactorTest, RandomTopologicalOrdersAreBitIdentical) {
         }
       }
       {
-        const idx nb = lapack::tiled::tile_nb(EnvRoutine::geqrf, k);
+        const idx nb = td::tile_edge(EnvRoutine::geqrf, k);
+        ASSERT_EQ(nb, 16);
         Matrix<T> ref = a0;
         std::vector<T> tref(static_cast<std::size_t>(k), T(0));
-        ASSERT_EQ(lapack::tiled::geqrf(m, n, ref.data(), ref.ld(),
-                                       tref.data()),
-                  0);
+        ASSERT_EQ(lapack::geqrf(m, n, ref.data(), ref.ld(), tref.data()), 0);
         for (std::uint64_t rs = 0; rs < kSeeds; ++rs) {
           Matrix<T> f = a0;
           std::vector<T> tau(static_cast<std::size_t>(k), T(0));
@@ -483,10 +481,11 @@ TYPED_TEST(TiledFactorTest, RandomTopologicalOrdersAreBitIdentical) {
     }
     for (const idx n : {idx{96}, idx{88}}) {
       const Matrix<T> a0 = random_spd<T>(n, seed);
-      const idx nb = lapack::tiled::tile_nb(EnvRoutine::potrf, n);
+      const idx nb = td::tile_edge(EnvRoutine::potrf, n);
+      ASSERT_EQ(nb, 16);
       for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
         Matrix<T> ref = a0;
-        ASSERT_EQ(lapack::tiled::potrf(uplo, n, ref.data(), ref.ld()), 0);
+        ASSERT_EQ(lapack::potrf(uplo, n, ref.data(), ref.ld()), 0);
         for (std::uint64_t rs = 0; rs < kSeeds; ++rs) {
           Matrix<T> f = a0;
           td::CholTiles<T> t{uplo, n, nb, f.data(), f.ld()};
@@ -502,18 +501,17 @@ TYPED_TEST(TiledFactorTest, RandomTopologicalOrdersAreBitIdentical) {
 
 TYPED_TEST(TiledFactorTest, DegenerateShapesNeverBuildGraphs) {
   using T = TypeParam;
-  SchedulerGuard sg(TileScheduler::TiledDag);
   TileNbGuard nb(64);
   Iseed seed = seed_for(604);
   // k = 0: quick return, INFO 0, nothing touched.
   T dummy = T(42);
   idx pdummy = -3;
-  EXPECT_EQ(lapack::tiled::getrf<T>(0, 0, &dummy, 1, &pdummy), 0);
-  EXPECT_EQ(lapack::tiled::getrf<T>(0, 5, &dummy, 1, &pdummy), 0);
-  EXPECT_EQ(lapack::tiled::getrf<T>(5, 0, &dummy, 1, &pdummy), 0);
-  EXPECT_EQ(lapack::tiled::potrf<T>(Uplo::Lower, 0, &dummy, 1), 0);
-  EXPECT_EQ(lapack::tiled::geqrf<T>(0, 0, &dummy, 1, &dummy), 0);
-  EXPECT_EQ(lapack::tiled::geqrf<T>(0, 7, &dummy, 1, &dummy), 0);
+  EXPECT_EQ(lapack::getrf<T>(0, 0, &dummy, 1, &pdummy), 0);
+  EXPECT_EQ(lapack::getrf<T>(0, 5, &dummy, 1, &pdummy), 0);
+  EXPECT_EQ(lapack::getrf<T>(5, 0, &dummy, 1, &pdummy), 0);
+  EXPECT_EQ(lapack::potrf<T>(Uplo::Lower, 0, &dummy, 1), 0);
+  EXPECT_EQ(lapack::geqrf<T>(0, 0, &dummy, 1, &dummy), 0);
+  EXPECT_EQ(lapack::geqrf<T>(0, 7, &dummy, 1, &dummy), 0);
   EXPECT_EQ(dummy, T(42));
   EXPECT_EQ(pdummy, -3);
   // Single tile (nb >= k): bitwise identical to the unblocked reference,
@@ -528,7 +526,7 @@ TYPED_TEST(TiledFactorTest, DegenerateShapesNeverBuildGraphs) {
     }
     Matrix<T> t = a, u = a;
     std::vector<idx> pt(n), pu(n);
-    const idx it = lapack::tiled::getrf(n, n, t.data(), t.ld(), pt.data());
+    const idx it = lapack::getrf(n, n, t.data(), t.ld(), pt.data());
     const idx iu = lapack::getf2(n, n, u.data(), u.ld(), pu.data());
     EXPECT_EQ(it, iu);
     EXPECT_EQ(pt, pu);
@@ -548,20 +546,16 @@ TYPED_TEST(TiledFactorTest, DegenerateShapesNeverBuildGraphs) {
     EXPECT_EQ(it, iu);
     EXPECT_EQ(it, 131);  // 1-based first zero pivot
   }
-  // Non-positive-definite potrf: INFO matches the legacy blocked path.
+  // Non-positive-definite potrf: INFO matches the unblocked reference.
   {
     const idx n = 200;
     for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
       Matrix<T> a = random_spd<T>(n, seed);
       a(150, 150) = T(-1000);
       Matrix<T> t = a, u = a;
-      idx il, id;
-      {
-        SchedulerGuard legacy(TileScheduler::ForkJoin);
-        il = lapack::potrf(uplo, n, u.data(), u.ld());
-      }
-      id = lapack::potrf(uplo, n, t.data(), t.ld());
-      EXPECT_EQ(id, il);
+      const idx iu = lapack::potf2(uplo, n, u.data(), u.ld());
+      const idx id = lapack::potrf(uplo, n, t.data(), t.ld());
+      EXPECT_EQ(id, iu);
       EXPECT_EQ(id, 151);
     }
   }
@@ -598,55 +592,41 @@ TYPED_TEST(TiledFactorTest, WorkspaceInjectionCancelsDagWithoutDeadlock) {
 }
 
 TEST(TiledEnvTest, TileKnobDefaultsAndOverrides) {
-  // LAPACK90_TILE_NB default (the test environment does not set it) and
-  // the per-routine override round trip.
-  EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::getrf, 0), 128);
-  const idx prev = set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, 48);
-  EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::getrf, 0), 48);
-  EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::potrf, 0), 128);
-  EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::geqrf, 0), 64);
-  set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, prev);
-  EXPECT_EQ(ilaenv(EnvSpec::TileSize, EnvRoutine::getrf, 0), 128);
-  // Scheduler: task-DAG by default, round-trips through the typed setter.
-  EXPECT_EQ(ilaenv(EnvSpec::TileScheduler, EnvRoutine::getrf, 0), 3);
-  EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
-  const TileScheduler sprev = set_tile_scheduler(TileScheduler::ForkJoin);
-  EXPECT_EQ(sprev, TileScheduler::TiledDag);
-  EXPECT_EQ(tile_scheduler(), TileScheduler::ForkJoin);
-  EXPECT_EQ(set_tile_scheduler(sprev), TileScheduler::ForkJoin);
-  EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
-  // 1 selects fork-join; every other value, 2 included, selects the DAG,
-  // through the programmatic override and through the environment alike.
-  for (const idx v : {idx{1}, idx{2}, idx{3}}) {
-    const auto want = v == 1 ? TileScheduler::ForkJoin : TileScheduler::TiledDag;
-    const idx oprev =
-        set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, v);
-    EXPECT_EQ(tile_scheduler(), want) << "override " << v;
-    set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, oprev);
-    ASSERT_EQ(::setenv("LAPACK90_TILE_SCHEDULER", std::to_string(v).c_str(),
-                       1),
-              0);
-    detail::refresh_env_cache();
-    EXPECT_EQ(tile_scheduler(), want) << "LAPACK90_TILE_SCHEDULER=" << v;
-    ASSERT_EQ(::unsetenv("LAPACK90_TILE_SCHEDULER"), 0);
-    detail::refresh_env_cache();
-  }
-  EXPECT_EQ(tile_scheduler(), TileScheduler::TiledDag);
+  // ilaenv's NB is the tile edge: builtin per routine, and the per-routine
+  // override round trip.
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::getrf, 0), 128);
+  const idx prev = set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, 48);
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::getrf, 0), 48);
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::potrf, 0), 64);
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::geqrf, 0), 64);
+  set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, prev);
+  EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::getrf, 0), 128);
 }
 
 TEST(TiledEnvTest, DispatchGateRespectsCrossoverAndTileCount) {
-  // Below the legacy crossover (128 for getrf) the gate stays closed even
-  // though nb would allow two tiles.
-  const idx prev = set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, 16);
-  EXPECT_FALSE(lapack::tiled::enabled(EnvRoutine::getrf, 100, 100));
-  EXPECT_TRUE(lapack::tiled::enabled(EnvRoutine::getrf, 300, 300));
-  set_env_override(EnvSpec::TileSize, EnvRoutine::getrf, prev);
-  // Single tile at the default nb=128: closed.
-  EXPECT_FALSE(lapack::tiled::enabled(EnvRoutine::getrf, 128, 128));
-  EXPECT_TRUE(lapack::tiled::enabled(EnvRoutine::getrf, 300, 300));
-  // Fork-join selection closes the gate everywhere.
-  SchedulerGuard sg(TileScheduler::ForkJoin);
-  EXPECT_FALSE(lapack::tiled::enabled(EnvRoutine::getrf, 300, 300));
+  using lapack::tiled::detail::tile_edge;
+  // Defaults: up to the crossover (128) the unblocked kernel runs; past it
+  // every problem spans two or more tiles and takes the DAG.
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 0), 0);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 128), 0);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 129), 128);
+  EXPECT_EQ(tile_edge(EnvRoutine::potrf, 300), 64);
+  EXPECT_EQ(tile_edge(EnvRoutine::geqrf, 300), 64);
+  // Below the crossover the gate stays closed even though nb would allow
+  // two tiles; NB = 1 closes it everywhere.
+  const idx prev = set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, 16);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 100), 0);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 300), 16);
+  set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, 1);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 300), 0);
+  set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, prev);
+  // Past a lowered crossover a single tile (nb >= k) stays closed.
+  const idx prev_nx =
+      set_env_override(EnvSpec::Crossover, EnvRoutine::getrf, 2);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 100), 0);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 128), 0);
+  EXPECT_EQ(tile_edge(EnvRoutine::getrf, 129), 128);
+  set_env_override(EnvSpec::Crossover, EnvRoutine::getrf, prev_nx);
 }
 
 }  // namespace

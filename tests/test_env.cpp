@@ -203,12 +203,6 @@ TEST(EnvTest, OverrideRejectsBadPairsAndValues) {
                              (idx{1} << 20) + 1),
             96);
   EXPECT_EQ(ilaenv(EnvSpec::BlockSize, EnvRoutine::getrf, 1024), 96);
-  // TileScheduler is capped at the last real scheduler id.
-  const idx sprev =
-      set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, 0);
-  EXPECT_EQ(set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, 7),
-            0);
-  set_env_override(EnvSpec::TileScheduler, EnvRoutine::getrf, sprev);
   set_env_override(EnvSpec::BlockSize, EnvRoutine::getrf, prev);
 }
 

@@ -96,6 +96,26 @@ TEST_P(BlockSizeSweep, GeqrfInvariantUnderBlockSize) {
   EXPECT_LE(orthogonality(q), tol<double>(10.0) * n);
 }
 
+TEST_P(BlockSizeSweep, PotrfInvariantUnderBlockSize) {
+  const idx nb = GetParam();
+  const idx n = 88;
+  Iseed seed = seed_for(342);
+  const Matrix<double> a = random_spd<double>(n, seed);
+  for (const Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+    // Reference: unblocked.
+    Matrix<double> ref = a;
+    ASSERT_EQ(lapack::potf2(uplo, n, ref.data(), ref.ld()), 0);
+    set_env_override(EnvSpec::BlockSize, EnvRoutine::potrf, nb);
+    set_env_override(EnvSpec::Crossover, EnvRoutine::potrf, 2);
+    Matrix<double> f = a;
+    const idx info = lapack::potrf(uplo, n, f.data(), f.ld());
+    set_env_override(EnvSpec::BlockSize, EnvRoutine::potrf, 0);
+    set_env_override(EnvSpec::Crossover, EnvRoutine::potrf, 0);
+    EXPECT_EQ(info, 0);
+    EXPECT_LE(max_diff(f, ref), tol<double>(1000.0) * n);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BlockSizes, BlockSizeSweep,
                          ::testing::Values<idx>(1, 2, 7, 16, 33, 64),
                          [](const auto& info) {

@@ -1,30 +1,34 @@
 // lapack90/net/listener.hpp
 //
 // The la::net server side: a loopback TCP listener that fronts a
-// serve::Server with the wire.hpp protocol. One accept thread plus two
-// threads per connection:
+// serve::Server with the wire.hpp protocol. One event-loop thread per
+// listener poll()s the listen socket, a wake eventfd and every
+// connection's non-blocking socket, however many connections there are.
 //
-//   reader — performs the version handshake (mismatched peers are acked
-//            accept = 0 and dropped), then decodes Submit frames. Each
-//            job's operand payloads are copied into server-owned storage,
-//            expanded into type-erased units, and submitted into the
-//            embedded serve::Server with a completion hook. A connection
-//            with `conn_inflight` jobs already in flight gets a wire-level
-//            rejection (Result with info = serve::kInfoRejected) without
-//            touching the server — the per-connection admission layer in
-//            front of the server-wide queue_depth bound. A malformed or
-//            oversized frame drops the connection (the wire contract).
-//   writer — drains completed jobs in completion order (results stream
-//            back out-of-order relative to submission, tagged by the
-//            client-assigned job id), encoding many Result frames into one
-//            buffer per wake-up so a saturated connection pays one
-//            syscall for a whole batch of results.
+// Each connection's bytes collect in one receive buffer: the version
+// handshake first (mismatched peers are acked accept = 0 and dropped),
+// then Submit frames, so a read may split a frame anywhere. Each job's
+// operand payloads are copied into server-owned storage, expanded into
+// type-erased units, and submitted into the embedded serve::Server with
+// a completion hook. A connection with `conn_inflight` jobs already in
+// flight gets a wire-level rejection (Result with info =
+// serve::kInfoRejected) without touching the server — the per-connection
+// admission layer in front of the server-wide queue_depth bound. A
+// malformed or oversized frame drops the connection (the wire contract).
+//
+// The completion hook appends the finished job to one mutex-guarded list
+// and wakes the loop, which encodes results in completion order (results
+// stream back out-of-order relative to submission, tagged by the
+// client-assigned job id), frees the in-flight slot, and sends all of a
+// connection's pending frames with one send(). Bytes the socket does not
+// take wait in the connection's buffer for POLLOUT. Backpressure: the
+// loop stops reading a connection with more than 256 KiB unsent, so TCP
+// stalls a peer that does not read its results.
 //
 // An abrupt client disconnect never leaks: in-flight jobs keep their
-// server-owned storage alive through the completion callback; the writer
-// discards results it can no longer send and the connection's threads are
-// joined by shutdown (or by the accept loop's reaping of dead
-// connections).
+// server-owned storage alive through the completion hook, and the closed
+// connection stays in the loop's table until they are back; their
+// results are discarded.
 //
 // Knobs (all through the shared hardened detail::env_knob reader;
 // a nonzero / non-negative Config field wins):
@@ -71,7 +75,7 @@ struct ListenerStats {
 
 class Listener {
  public:
-  /// Bind + listen + start the accept thread. ok() reports failure
+  /// Bind + listen + start the event loop. ok() reports failure
   /// (port in use, no socket) instead of throwing.
   Listener();
   explicit Listener(const ListenerConfig& cfg);
@@ -93,9 +97,9 @@ class Listener {
 
   [[nodiscard]] ListenerStats stats() const;
 
-  /// Stop accepting, drain the compute server, flush or discard pending
-  /// results, join every connection thread. Idempotent; the destructor
-  /// calls it.
+  /// Drain the compute server (the loop sends what it can meanwhile),
+  /// stop the event loop, close every connection and discard unsent
+  /// results. Idempotent; the destructor calls it.
   void shutdown();
 
  private:

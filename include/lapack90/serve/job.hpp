@@ -43,9 +43,6 @@ enum class Dtype : int { s = 0, d, c, z, count_ };
 inline constexpr int kServeRoutineCount = static_cast<int>(Routine::count_);
 inline constexpr int kServeDtypeCount = static_cast<int>(Dtype::count_);
 
-/// Routine name for logs and the demo CLI ("gesv", ...).
-[[nodiscard]] const char* routine_name(Routine rt) noexcept;
-
 template <Scalar T>
 [[nodiscard]] consteval Dtype dtype_of() noexcept {
   if constexpr (std::same_as<T, float>) {

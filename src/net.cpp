@@ -6,28 +6,31 @@
 // Thread-safety ground rules, chosen so the whole subsystem is clean
 // under TSan:
 //
-//  - A socket fd is const for the lifetime of the object that owns it.
-//    Peers are unblocked with ::shutdown(fd, SHUT_RDWR) (which is safe
-//    against concurrent reads/writes on the same fd); ::close happens
-//    exactly once, after every thread using the fd has been joined.
+//  - Server side: one event-loop thread per Listener owns the listen
+//    socket, every connection socket and all per-connection state. The
+//    only shared structure is the completion list: serve completion
+//    callbacks run on the dispatcher thread, append the finished job
+//    under one mutex and write the wake eventfd when the list was empty.
+//    The loop never holds that mutex while it calls into serve, whose
+//    admission rejects complete synchronously on the calling thread.
 //  - All sends use MSG_NOSIGNAL: a vanished peer yields EPIPE, never
 //    SIGPIPE.
-//  - Server side: completion callbacks run on serve dispatcher threads
-//    and only enqueue the finished job under the connection's writer
-//    mutex; the writer thread does all encoding and all sending, many
-//    frames per wake-up, so a saturated connection pays one syscall per
-//    result batch.
-//  - Client side: the public API locks one mutex around the write buffer
-//    and the pending map; the reader thread takes the same mutex only to
-//    deliver results. Nothing blocks on the network while holding it
-//    except the actual flush send, which is safe because the peer's
-//    reader drains independently of its writer.
+//  - Client side: the socket fd is const while the reader thread runs;
+//    close() unblocks it with ::shutdown(fd, SHUT_RDWR) and closes the fd
+//    after joining it. The public API locks one mutex around the write
+//    buffer and the pending map; the reader thread takes the same mutex
+//    only to deliver results. Nothing blocks on the network while holding
+//    it: a flush hands the buffer to a second mutex that serializes
+//    send()s and releases the first while it sends, so results keep
+//    being read while the listener holds back a large submission.
 
 #include "lapack90/net/net.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -37,7 +40,6 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -71,20 +73,24 @@ bool read_exact(int fd, void* dst, std::size_t n) noexcept {
   return true;
 }
 
-bool send_all(int fd, const std::byte* p, std::size_t n) noexcept {
-  while (n > 0) {
-    const ssize_t r = ::send(fd, p, n, MSG_NOSIGNAL);
+/// Send from the front of `buf` until it is empty or the socket would
+/// block, erasing what was sent; false when the peer is gone. A blocking
+/// socket returns with `buf` empty or false.
+bool send_buf(int fd, std::vector<std::byte>& buf) {
+  std::size_t sent = 0;
+  bool alive = true;
+  while (sent < buf.size()) {
+    const ssize_t r =
+        ::send(fd, buf.data() + sent, buf.size() - sent, MSG_NOSIGNAL);
     if (r > 0) {
-      p += r;
-      n -= static_cast<std::size_t>(r);
-      continue;
+      sent += static_cast<std::size_t>(r);
+    } else if (r == 0 || errno != EINTR) {
+      alive = r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+      break;
     }
-    if (r < 0 && errno == EINTR) {
-      continue;
-    }
-    return false;
   }
-  return true;
+  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(sent));
+  return alive;
 }
 
 void set_nodelay(int fd) noexcept {
@@ -113,7 +119,8 @@ struct RecvBuf {
     }
   }
 
-  /// recv() once into the tail; false on EOF/error.
+  /// recv() once into the tail; false on EOF/error. A non-blocking socket
+  /// with nothing to read yet leaves the buffer as it was and returns true.
   [[nodiscard]] bool fill(int fd) {
     constexpr std::size_t kChunk = std::size_t{256} << 10;
     const std::size_t old = data.size();
@@ -124,15 +131,16 @@ struct RecvBuf {
     } while (r < 0 && errno == EINTR);
     if (r <= 0) {
       data.resize(old);
-      return false;
+      return r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
     }
     data.resize(old + static_cast<std::size_t>(r));
     return true;
   }
 };
 
-/// Userspace flush threshold for submit/result buffering: large enough to
-/// amortize syscalls, small enough to keep pipelines moving.
+/// Userspace flush threshold for client submit buffering (large enough to
+/// amortize syscalls, small enough to keep pipelines moving), and the
+/// unsent-result level past which the listener stops reading a peer.
 constexpr std::size_t kWriteHighWater = std::size_t{256} << 10;
 
 }  // namespace
@@ -145,8 +153,8 @@ struct Listener::Impl {
   ListenerConfig cfg;  // resolved knob values
   serve::Server server;
   int listen_fd = -1;
+  int wake_fd = -1;  // eventfd: completions queued, or stop requested
   int bound_port = 0;
-  std::thread acceptor;
 
   std::atomic<u64> n_connections{0};
   std::atomic<u64> n_handshake_fail{0};
@@ -155,19 +163,18 @@ struct Listener::Impl {
   std::atomic<u64> n_malformed{0};
   std::atomic<u64> n_conn_rejects{0};
 
-  struct ConnState;
-
   /// One decoded job living server-side: the operand payloads are copied
   /// out of the frame into `blob` (packed, ld = rows — exactly the wire
   /// layout, so the result payload is a straight copy back out), the
   /// type-erased units point into it, and the serve completion hook
-  /// fills `res`. Ownership is linear — reader → serve callback ctx →
-  /// ReadyItem → writer — so a job costs no shared_ptr control block;
-  /// `conn` keeps the connection state alive for the callback, so an
-  /// abrupt disconnect never frees memory under a running batch.
+  /// fills `res`. Ownership is linear — loop → serve callback ctx →
+  /// completion list → loop — so a job costs no shared_ptr control block;
+  /// `conn` names the submitting connection in the loop's table.
   /// `meta` packs the per-entry INFO (first `count`) and ITER (second
   /// `count`) output slots into one allocation.
   struct JobData {
+    Impl* owner = nullptr;
+    u64 conn = 0;
     u64 job_id = 0;
     serve::Dtype dtype = serve::Dtype::d;
     std::uint8_t want = 0;
@@ -176,53 +183,39 @@ struct Listener::Impl {
     std::vector<idx> meta;
     std::vector<serve::detail::Unit> units;
     serve::JobResult res;
-    std::shared_ptr<ConnState> conn;
   };
 
-  /// A completed (or wire-rejected) job ready to encode; `jd` is null for
-  /// per-connection admission rejects, which carry only the id + info.
-  struct ReadyItem {
-    std::unique_ptr<JobData> jd;
-    u64 job_id = 0;
-    idx info = 0;
-  };
-
-  /// State shared between a connection's reader, its writer, and any
-  /// serve completion callbacks still holding a reference.
-  struct ConnState {
-    Impl* owner = nullptr;
-    int fd = -1;  // const after construction; closed by join_conn only
-    std::atomic<idx> inflight{0};  // submitted, result not yet encoded
-    std::mutex wmu;
-    std::condition_variable wcv;
-    std::deque<ReadyItem> ready;  // guarded by wmu
-    bool closing = false;         // guarded by wmu
-    std::atomic<bool> dead{false};      // send side failed
-    std::atomic<bool> finished{false};  // both threads have exited
-    std::atomic<int> parts_done{0};     // reader + writer exit bookkeeping
-
-    /// Each of the two connection threads calls this once on exit; the
-    /// second caller marks the connection reapable.
-    void mark_part_done() noexcept {
-      if (parts_done.fetch_add(1, std::memory_order_acq_rel) == 1) {
-        finished.store(true, std::memory_order_release);
-      }
-    }
-  };
-
+  /// One connection, touched by the loop thread only. A closed connection
+  /// (fd = -1) stays in the table until every job it submitted has come
+  /// back, so a completion always finds its entry; its results are then
+  /// discarded.
   struct Conn {
-    std::shared_ptr<ConnState> st;
-    std::thread reader;
-    std::thread writer;
+    int fd = -1;
+    bool greeted = false;        // handshake done
+    bool writable = true;        // the last send did not hit EAGAIN
+    idx inflight = 0;            // submitted, result not yet encoded
+    RecvBuf rb;                  // handshake, then frames
+    std::vector<std::byte> out;  // encoded, not yet sent
+    u64 out_frames = 0;          // result frames in `out`
   };
 
-  std::mutex conns_mu;
-  std::vector<std::unique_ptr<Conn>> conns;  // guarded by conns_mu
-  bool shut = false;                         // guarded by conns_mu
+  std::unordered_map<u64, Conn> conns;  // loop thread only
+  u64 next_conn = 0;
+  bool accepting = true;  // false while the process is out of descriptors
+
+  std::mutex done_mu;
+  std::vector<std::unique_ptr<JobData>> done;  // guarded by done_mu
+
+  std::atomic<bool> stopping{false};
+  std::atomic<bool> shut{false};
+  std::thread loop;  // last: it uses every member above
 
   explicit Impl(const ListenerConfig& c) : cfg(resolve(c)), server(c.serve) {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd < 0) {
+    wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    listen_fd =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+    if (wake_fd < 0 || listen_fd < 0) {
+      close_fd(listen_fd);
       return;
     }
     int one = 1;
@@ -234,8 +227,7 @@ struct Listener::Impl {
     if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
             0 ||
         ::listen(listen_fd, static_cast<int>(cfg.backlog)) != 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
+      close_fd(listen_fd);
       return;
     }
     socklen_t alen = sizeof(addr);
@@ -243,7 +235,7 @@ struct Listener::Impl {
         0) {
       bound_port = ntohs(addr.sin_port);
     }
-    acceptor = std::thread([this] { accept_loop(); });
+    loop = std::thread([this] { run(); });
   }
 
   [[nodiscard]] static ListenerConfig resolve(const ListenerConfig& c) {
@@ -268,111 +260,181 @@ struct Listener::Impl {
     return r;
   }
 
-  void accept_loop() {
-    for (;;) {
-      const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) {
+  static void close_fd(int& fd) noexcept {
+    if (fd >= 0) {
+      ::close(fd);
+      fd = -1;
+    }
+  }
+
+  void wake() const noexcept {
+    const u64 one = 1;
+    // EAGAIN means the counter is already nonzero: the loop is woken anyway.
+    [[maybe_unused]] const ssize_t r = ::write(wake_fd, &one, sizeof(one));
+  }
+
+  /// The event loop: accept, read and decode, encode completions, send.
+  /// Every pass rebuilds the poll set from the connection table.
+  void run() {
+    std::vector<pollfd> pfds;
+    std::vector<u64> ids;  // connection id of pfds[i + 2]
+    std::vector<std::unique_ptr<JobData>> finished;
+    std::vector<wire::EntryResult> ents;
+    while (!stopping.load(std::memory_order_acquire)) {
+      pfds.clear();
+      ids.clear();
+      pfds.push_back({accepting ? listen_fd : -1, POLLIN, 0});
+      pfds.push_back({wake_fd, POLLIN, 0});
+      for (auto& [id, c] : conns) {
+        if (c.fd < 0) {
           continue;
         }
-        return;  // listen fd shut down: we're done
+        // Bytes left over from the last pass mean send() hit EAGAIN.
+        c.writable = c.out.empty();
+        // Backpressure: a peer that leaves more than kWriteHighWater of
+        // its results unread is not read either, so TCP stalls its
+        // submissions instead of its results piling up here.
+        const short ev = (c.out.size() > kWriteHighWater ? 0 : POLLIN) |
+                         (c.writable ? 0 : POLLOUT);
+        pfds.push_back({c.fd, ev, 0});
+        ids.push_back(id);
       }
-      set_nodelay(fd);
-      n_connections.fetch_add(1, std::memory_order_relaxed);
-      auto st = std::make_shared<ConnState>();
-      st->owner = this;
-      st->fd = fd;
-      auto conn = std::make_unique<Conn>();
-      conn->st = st;
-      conn->reader = std::thread([this, st] { reader_loop(st); });
-      conn->writer = std::thread([this, st] { writer_loop(st); });
-      std::lock_guard<std::mutex> lk(conns_mu);
-      if (shut) {
-        // shutdown() won the race: it will not see this connection, so
-        // close it here (threads exit via closing/shutdown below).
-        begin_close(*st);
-        ::shutdown(fd, SHUT_RDWR);
-        conn->reader.join();
-        conn->writer.join();
-        ::close(fd);
+      if (::poll(pfds.data(), pfds.size(), -1) < 0 && errno != EINTR) {
+        break;  // nothing left to wait with: drop every peer below
+      }
+      // Clear the wake before taking the list: a completion appended
+      // after the swap below finds the list empty and wakes us again.
+      if ((pfds[1].revents & POLLIN) != 0) {
+        u64 n = 0;
+        [[maybe_unused]] const ssize_t r = ::read(wake_fd, &n, sizeof(n));
+      }
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        const short rev = pfds[i + 2].revents;
+        Conn& c = conns.find(ids[i])->second;
+        c.writable = c.writable || (rev & POLLOUT) != 0;
+        if ((rev & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+            (!c.rb.fill(c.fd) || !serve_input(ids[i], c))) {
+          close_conn(c);
+        }
+      }
+      if ((pfds[0].revents & POLLIN) != 0) {
+        accept_all();
+      }
+      {
+        std::lock_guard<std::mutex> lk(done_mu);
+        finished.swap(done);
+      }
+      for (const std::unique_ptr<JobData>& jd : finished) {
+        Conn& c = conns.find(jd->conn)->second;
+        // Free the slot before the bytes leave: a client that honours the
+        // window resubmits as soon as it reads a result, and must find the
+        // slot already free.
+        --c.inflight;
+        if (c.fd >= 0) {
+          encode_result(c.out, *jd, ents);
+          ++c.out_frames;
+        }
+      }
+      finished.clear();  // encoded: release job storage promptly
+      // One send per writable connection per pass carries every frame
+      // queued since the last one; the rest waits for POLLOUT.
+      for (auto it = conns.begin(); it != conns.end();) {
+        Conn& c = it->second;
+        if (c.fd >= 0 && c.writable && !c.out.empty() && !flush(c)) {
+          close_conn(c);
+        }
+        if (c.fd < 0 && c.inflight == 0) {
+          it = conns.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    // Every peer gets its EOF; results not yet sent are discarded.
+    for (auto& [id, c] : conns) {
+      close_fd(c.fd);
+    }
+  }
+
+  void accept_all() {
+    for (;;) {
+      const int fd = ::accept4(listen_fd, nullptr, nullptr,
+                               SOCK_CLOEXEC | SOCK_NONBLOCK);
+      if (fd >= 0) {
+        set_nodelay(fd);
+        n_connections.fetch_add(1, std::memory_order_relaxed);
+        conns[next_conn++].fd = fd;
         continue;
       }
-      // Reap finished connections so a long-lived listener's vector does
-      // not grow without bound.
-      std::erase_if(conns, [](const std::unique_ptr<Conn>& c) {
-        if (!c->st->finished.load(std::memory_order_acquire)) {
-          return false;
-        }
-        c->reader.join();
-        c->writer.join();
-        ::close(c->st->fd);
-        return true;
-      });
-      conns.push_back(std::move(conn));
-    }
-  }
-
-  static void begin_close(ConnState& st) {
-    {
-      std::lock_guard<std::mutex> lk(st.wmu);
-      st.closing = true;
-    }
-    st.wcv.notify_all();
-  }
-
-  void reader_loop(const std::shared_ptr<ConnState>& st) {
-    const int fd = st->fd;
-    // Handshake: 12 fixed bytes each way before any framing.
-    std::byte hb[wire::kHelloBytes];
-    wire::Hello hello;
-    const bool got =
-        read_exact(fd, hb, sizeof(hb)) &&
-        wire::decode_hello({hb, sizeof(hb)}, hello);
-    std::vector<std::byte> ack;
-    wire::HelloAck a;
-    a.accept = got;
-    a.max_frame = static_cast<std::uint32_t>(
-        std::min(cfg.max_frame, std::size_t{1} << 30));
-    wire::encode_hello_ack(ack, a);
-    if (!send_all(fd, ack.data(), ack.size()) || !got) {
-      if (!got) {
-        n_handshake_fail.fetch_add(1, std::memory_order_relaxed);
+      if (errno == EINTR || errno == ECONNABORTED) {
+        continue;
       }
-      ::shutdown(fd, SHUT_RDWR);  // flush the ack, give the peer its EOF
-      begin_close(*st);
-      st->mark_part_done();
+      // Out of descriptors or memory: polling the listen socket again
+      // would spin, so resume once a connection closes.
+      accepting = errno == EAGAIN || errno == EWOULDBLOCK;
       return;
     }
-    RecvBuf rb;
-    for (;;) {
-      wire::FrameView fv;
-      const auto status = wire::parse_frame(rb.view(), cfg.max_frame, fv);
-      if (status == wire::FrameStatus::malformed) {
-        n_malformed.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      if (status == wire::FrameStatus::ok) {
-        const bool good = handle_frame(st, fv);
-        rb.consume(fv.consumed);
-        if (!good) {
-          n_malformed.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        continue;
-      }
-      if (!rb.fill(fd)) {
-        break;  // EOF or error: the peer is gone
-      }
-    }
-    // Unblock a writer stuck in send() on a half-dead socket, then let it
-    // drain whatever serve still owes this connection.
-    ::shutdown(fd, SHUT_RDWR);
-    begin_close(*st);
-    st->mark_part_done();
   }
 
-  [[nodiscard]] bool handle_frame(const std::shared_ptr<ConnState>& st,
-                                  const wire::FrameView& fv) {
+  void close_conn(Conn& c) {
+    close_fd(c.fd);
+    c.rb = RecvBuf{};
+    c.out = {};
+    accepting = true;
+  }
+
+  /// Send what the socket takes now; false when the peer is gone.
+  [[nodiscard]] bool flush(Conn& c) {
+    if (!send_buf(c.fd, c.out)) {
+      return false;
+    }
+    if (c.out.empty()) {
+      n_frames_out.fetch_add(c.out_frames, std::memory_order_relaxed);
+      c.out_frames = 0;
+    }
+    return true;
+  }
+
+  /// The handshake (12 fixed bytes each way before any framing), then
+  /// every complete frame in the receive buffer. False drops the peer.
+  [[nodiscard]] bool serve_input(u64 id, Conn& c) {
+    if (!c.greeted) {
+      const auto in = c.rb.view();
+      if (in.size() < wire::kHelloBytes) {
+        return true;
+      }
+      wire::Hello hello;
+      wire::HelloAck a;
+      a.accept = wire::decode_hello(in.first(wire::kHelloBytes), hello);
+      a.max_frame = static_cast<std::uint32_t>(
+          std::min(cfg.max_frame, std::size_t{1} << 30));
+      c.rb.consume(wire::kHelloBytes);
+      wire::encode_hello_ack(c.out, a);
+      if (!a.accept) {
+        // Mismatched peers get their refusal (12 bytes always fit an
+        // idle socket's buffer), then EOF.
+        n_handshake_fail.fetch_add(1, std::memory_order_relaxed);
+        (void)flush(c);
+        return false;
+      }
+      c.greeted = true;
+    }
+    for (;;) {
+      wire::FrameView fv;
+      const auto status = wire::parse_frame(c.rb.view(), cfg.max_frame, fv);
+      if (status == wire::FrameStatus::need_more) {
+        return true;
+      }
+      if (status == wire::FrameStatus::malformed ||
+          !handle_frame(id, c, fv)) {
+        n_malformed.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      c.rb.consume(fv.consumed);
+    }
+  }
+
+  [[nodiscard]] bool handle_frame(u64 id, Conn& c, const wire::FrameView& fv) {
     if (fv.type != wire::FrameType::submit) {
       return false;  // clients only send Submit
     }
@@ -381,19 +443,17 @@ struct Listener::Impl {
       return false;
     }
     n_frames_in.fetch_add(1, std::memory_order_relaxed);
-    if (st->inflight.load(std::memory_order_relaxed) >= cfg.conn_inflight) {
+    if (c.inflight >= cfg.conn_inflight) {
       // Per-connection admission: turn the job away at the wire without
       // touching the compute server.
       n_conn_rejects.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lk(st->wmu);
-        st->ready.push_back(
-            ReadyItem{nullptr, m.job_id, serve::kInfoRejected});
-      }
-      st->wcv.notify_one();
+      wire::encode_reject(c.out, m.job_id, serve::kInfoRejected);
+      ++c.out_frames;
       return true;
     }
     auto jd = std::make_unique<JobData>();
+    jd->owner = this;
+    jd->conn = id;
     jd->job_id = m.job_id;
     jd->dtype = m.dtype;
     jd->want = m.want;
@@ -403,7 +463,6 @@ struct Listener::Impl {
     const auto size = static_cast<std::size_t>(count);
     jd->meta.assign(2 * size, 0);
     jd->units.resize(size);
-    jd->conn = st;  // the completion callback outlives the reader
     const std::size_t esz = wire::scalar_bytes(m.dtype);
     std::size_t off = 0;
     for (idx i = 0; i < count; ++i) {
@@ -429,7 +488,7 @@ struct Listener::Impl {
       u.info_out = &jd->meta[ui];
       u.iter_out = &jd->meta[size + ui];
     }
-    st->inflight.fetch_add(1, std::memory_order_relaxed);
+    ++c.inflight;
     serve::detail::Unit* units = jd->units.data();
     // Ownership transfers to the callback context; serve invokes on_done
     // exactly once per submitted job (including rejects and drain).
@@ -437,75 +496,26 @@ struct Listener::Impl {
     return true;
   }
 
-  /// serve::CompletionFn: reclaims the JobData and hands it to the
-  /// connection's writer. Runs on the dispatcher thread (submitting
-  /// thread for rejects).
+  /// serve::CompletionFn: reclaims the JobData and appends it to the
+  /// completion list, waking the loop when the list was empty. Runs on
+  /// the dispatcher thread (on the loop thread for admission rejects).
   static void on_job_done(void* ctx, const serve::JobResult& r) {
     std::unique_ptr<JobData> jd(static_cast<JobData*>(ctx));
     jd->res = r;
-    const std::shared_ptr<ConnState> st = jd->conn;
-    const u64 id = jd->job_id;
+    Impl& im = *jd->owner;
+    bool was_empty = false;
     {
-      std::lock_guard<std::mutex> lk(st->wmu);
-      st->ready.push_back(ReadyItem{std::move(jd), id, r.info});
+      std::lock_guard<std::mutex> lk(im.done_mu);
+      was_empty = im.done.empty();
+      im.done.push_back(std::move(jd));
     }
-    st->wcv.notify_one();
+    if (was_empty) {
+      im.wake();
+    }
   }
 
-  void writer_loop(const std::shared_ptr<ConnState>& st) {
-    const int fd = st->fd;
-    std::vector<std::byte> wbuf;
-    std::deque<ReadyItem> local;
-    std::vector<wire::EntryResult> ents;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(st->wmu);
-        st->wcv.wait(lk, [&] {
-          return !st->ready.empty() ||
-                 (st->closing &&
-                  st->inflight.load(std::memory_order_relaxed) == 0);
-        });
-        if (st->ready.empty()) {
-          break;  // closing and nothing left in flight
-        }
-        local.swap(st->ready);
-      }
-      wbuf.clear();
-      idx done = 0;
-      for (ReadyItem& it : local) {
-        encode_item(wbuf, it, ents);
-        if (it.jd != nullptr) {
-          ++done;
-        }
-        it.jd.reset();  // encoded: release job storage promptly
-      }
-      const std::size_t frames = local.size();
-      local.clear();
-      // Free the slots before the bytes leave: a client that honours the
-      // window resubmits as soon as it reads a result, and must find the
-      // slot already free.
-      if (done > 0) {
-        st->inflight.fetch_sub(done, std::memory_order_relaxed);
-      }
-      if (!st->dead.load(std::memory_order_relaxed)) {
-        if (send_all(fd, wbuf.data(), wbuf.size())) {
-          n_frames_out.fetch_add(frames, std::memory_order_relaxed);
-        } else {
-          st->dead.store(true, std::memory_order_relaxed);
-          ::shutdown(fd, SHUT_RDWR);  // wake the reader too
-        }
-      }
-    }
-    st->mark_part_done();
-  }
-
-  static void encode_item(std::vector<std::byte>& out, const ReadyItem& it,
-                          std::vector<wire::EntryResult>& ents) {
-    if (it.jd == nullptr) {
-      wire::encode_reject(out, it.job_id, it.info);
-      return;
-    }
-    const JobData& jd = *it.jd;
+  static void encode_result(std::vector<std::byte>& out, const JobData& jd,
+                            std::vector<wire::EntryResult>& ents) {
     const auto count = jd.dims.size();
     ents.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -549,38 +559,20 @@ struct Listener::Impl {
   }
 
   void shutdown() {
-    {
-      std::lock_guard<std::mutex> lk(conns_mu);
-      if (shut) {
-        return;
-      }
-      shut = true;
+    if (shut.exchange(true)) {
+      return;
     }
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-    }
-    if (acceptor.joinable()) {
-      acceptor.join();
-    }
-    // Drain the compute server first so every outstanding completion
-    // callback has fired and the writers can observe inflight == 0.
+    // Drain the compute server first: the loop keeps sending results while
+    // the last jobs complete, and every completion callback has fired once
+    // this returns.
     server.shutdown();
-    std::vector<std::unique_ptr<Conn>> local;
-    {
-      std::lock_guard<std::mutex> lk(conns_mu);
-      local.swap(conns);
+    if (loop.joinable()) {
+      stopping.store(true, std::memory_order_release);
+      wake();
+      loop.join();
     }
-    for (auto& c : local) {
-      ::shutdown(c->st->fd, SHUT_RDWR);
-      begin_close(*c->st);
-      c->reader.join();
-      c->writer.join();
-      ::close(c->st->fd);
-    }
-    if (listen_fd >= 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
+    close_fd(listen_fd);
+    close_fd(wake_fd);
   }
 
   ~Impl() { shutdown(); }
@@ -623,7 +615,13 @@ struct Client::Impl {
   std::thread reader;
   std::size_t peer_max_frame = wire::kDefaultMaxFrame;
 
-  std::mutex mu;  // guards everything below + the write path
+  // Taken before `mu`, never while holding it: serializes send() on fd and
+  // close()'s ::close, and guards the frames being sent.
+  std::mutex send_mu;
+  std::vector<std::byte> sbuf;
+  std::vector<u64> sending;
+
+  std::mutex mu;  // guards everything below
   bool open = false;
   u64 next_ticket = 1;
   std::vector<std::byte> wbuf;
@@ -670,25 +668,39 @@ struct Client::Impl {
     cv_result.notify_all();
   }
 
-  bool flush_locked() {
+  /// Send the buffered Submit frames; `lk` holds `mu` on entry and exit
+  /// but not during send(). The listener stops reading a peer that leaves
+  /// its results unread, so the reader thread must be able to take `mu`
+  /// and deliver while a large flush waits for the socket.
+  void flush(std::unique_lock<std::mutex>& lk) {
     if (wbuf.empty()) {
-      return true;
+      return;
     }
-    if (!open || !send_all(fd, wbuf.data(), wbuf.size())) {
+    lk.unlock();
+    std::lock_guard<std::mutex> sl(send_mu);
+    lk.lock();
+    sbuf.swap(wbuf);  // empty when another flush took these frames
+    sending.swap(unsent);
+    bool ok = open;
+    if (ok && !sbuf.empty()) {
+      lk.unlock();
+      ok = send_buf(fd, sbuf);
+      lk.lock();
+    }
+    sbuf.clear();
+    if (ok) {
+      for (const u64 id : sending) {
+        const auto it = pending.find(id);
+        if (it != pending.end()) {
+          it->second->sent = true;
+        }
+      }
+    } else {
       wbuf.clear();
       unsent.clear();
       fail_all_locked(kInfoNetClosed);
-      return false;
     }
-    wbuf.clear();
-    for (const u64 id : unsent) {
-      const auto it = pending.find(id);
-      if (it != pending.end()) {
-        it->second->sent = true;
-      }
-    }
-    unsent.clear();
-    return true;
+    sending.clear();
   }
 
   void reader_loop() {
@@ -783,9 +795,13 @@ struct Client::Impl {
     if (reader.joinable()) {
       reader.join();  // reader fails any still-pending tickets
     }
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
+    {
+      // A send still on fd has failed since the shutdown above.
+      std::lock_guard<std::mutex> sl(send_mu);
+      if (fd >= 0) {
+        ::close(fd);
+        fd = -1;
+      }
     }
     std::lock_guard<std::mutex> lk(mu);
     fail_all_locked(kInfoNetClosed);
@@ -819,7 +835,7 @@ bool Client::connect(const char* host, int port) {
   wire::encode_hello(hello);
   std::byte ab[wire::kHelloBytes];
   wire::HelloAck ack;
-  if (!send_all(fd, hello.data(), hello.size()) ||
+  if (!send_buf(fd, hello) ||
       !read_exact(fd, ab, sizeof(ab)) ||
       !wire::decode_hello_ack({ab, sizeof(ab)}, ack) || !ack.accept) {
     ::close(fd);
@@ -844,8 +860,8 @@ bool Client::ok() const noexcept {
 void Client::close() { impl_->close(); }
 
 void Client::flush() {
-  std::lock_guard<std::mutex> lk(impl_->mu);
-  impl_->flush_locked();
+  std::unique_lock<std::mutex> lk(impl_->mu);
+  impl_->flush(lk);
 }
 
 serve::JobResult Client::wait(Ticket t) {
@@ -864,7 +880,7 @@ serve::JobResult Client::wait(Ticket t) {
   // sits in wbuf, and skipping the send here is what lets a full
   // submission window amortize syscalls across many jobs.
   if (!p->sent) {
-    im.flush_locked();
+    im.flush(lk);
   }
   im.cv_result.wait(lk, [p] { return p->done; });
   const serve::JobResult r = p->res;
@@ -877,7 +893,7 @@ Client::Ticket Client::submit_raw(serve::Routine rt, serve::Dtype dt,
                                   const EntryRef* entries, idx count,
                                   idx* infos, idx* iters) {
   Impl& im = *impl_;
-  std::lock_guard<std::mutex> lk(im.mu);
+  std::unique_lock<std::mutex> lk(im.mu);
   const Ticket t = im.next_ticket++;
   auto p = std::make_unique<Impl::Pending>();
   p->dtype = dt;
@@ -932,7 +948,7 @@ Client::Ticket Client::submit_raw(serve::Routine rt, serve::Dtype dt,
   im.pending.emplace(t, std::move(p));
   im.unsent.push_back(t);
   if (im.wbuf.size() >= kWriteHighWater) {
-    im.flush_locked();
+    im.flush(lk);
   }
   return t;
 }

@@ -37,24 +37,6 @@
 
 namespace la::serve {
 
-const char* routine_name(Routine rt) noexcept {
-  switch (rt) {
-    case Routine::gesv:
-      return "gesv";
-    case Routine::posv:
-      return "posv";
-    case Routine::gels:
-      return "gels";
-    case Routine::geqrf:
-      return "geqrf";
-    case Routine::mixed_gesv:
-      return "mixed_gesv";
-    case Routine::count_:
-      break;
-  }
-  return "?";
-}
-
 namespace {
 
 using detail::clock;

@@ -6,14 +6,25 @@
 // away at the handshake, malformed frames drop the connection, and an
 // abrupt client disconnect mid-flight leaks neither jobs nor sockets
 // (the ASan smoke run keeps that honest).
+//
+// The NetFaults suite drives the listener's event loop with hostile raw
+// peers: the handshake and a Submit frame split at every byte, a reset
+// mid-frame, a peer that never reads its results (backpressure), and
+// connect/disconnect churn. The listener serves every connection from one
+// thread, so the process's thread count must not move with the number of
+// connections.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -583,6 +594,313 @@ TEST(NetConnect, RefusedPortFailsCleanly) {
   EXPECT_FALSE(cl.connect("127.0.0.1", port));
   const serve::JobResult r = cl.wait(12345);
   EXPECT_EQ(r.info, net::kInfoNetClosed);
+}
+
+
+// ---------------------------------------------------------------------------
+// socket faults against the listener's event loop
+
+/// Threads of this process (entries in /proc/self/task); -1 when absent.
+long thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) {
+    return -1;
+  }
+  return static_cast<long>(std::distance(it, {}));
+}
+
+/// Send a v1 hello on a raw socket and read the ack; true when accepted.
+bool greet(const RawSock& s) {
+  std::vector<std::byte> hello;
+  wire::encode_hello(hello);
+  std::byte ack[wire::kHelloBytes];
+  wire::HelloAck a;
+  return s.send_bytes(hello.data(), hello.size()) &&
+         s.drain(ack, sizeof(ack)) == sizeof(ack) &&
+         wire::decode_hello_ack({ack, sizeof(ack)}, a) && a.accept;
+}
+
+/// Append one gesv Submit frame asking for A and B back.
+void append_gesv_submit(std::vector<std::byte>& out, std::uint64_t job_id,
+                        const Matrix<double>& a, const Matrix<double>& b) {
+  const wire::EntryDims d{a.rows(), a.cols(), b.rows(), b.cols()};
+  const std::size_t at = wire::encode_submit_header(
+      out, job_id, serve::Routine::gesv, serve::Dtype::d, Uplo::Lower,
+      Trans::NoTrans, wire::kWantA | wire::kWantB, {&d, 1});
+  wire::append_matrix(out, a.data(), a.rows(), a.cols(), a.ld(),
+                      sizeof(double));
+  wire::append_matrix(out, b.data(), b.rows(), b.cols(), b.ld(),
+                      sizeof(double));
+  wire::end_frame(out, at);
+}
+
+/// Read one gesv Result frame off a raw socket and scatter its A and B
+/// payloads into `a` and `b`; false on a short read or a bad frame.
+bool read_gesv_result(const RawSock& s, std::uint64_t job_id,
+                      Matrix<double>& a, Matrix<double>& b) {
+  std::vector<std::byte> buf(wire::kFrameHeaderBytes);
+  if (s.drain(buf.data(), buf.size()) != buf.size()) {
+    return false;
+  }
+  const auto len = wire::detail::load_le<std::uint32_t>(buf.data());
+  if (len > wire::kDefaultMaxFrame) {
+    return false;
+  }
+  buf.resize(wire::kFrameHeaderBytes + len);
+  if (s.drain(buf.data() + wire::kFrameHeaderBytes, len) != len) {
+    return false;
+  }
+  wire::FrameView fv;
+  wire::ResultMsg m;
+  if (wire::parse_frame(buf, wire::kDefaultMaxFrame, fv) !=
+          wire::FrameStatus::ok ||
+      !wire::decode_result(fv.payload, serve::Dtype::d, m) ||
+      m.job_id != job_id || m.info != 0 ||
+      m.flags != (wire::kWantA | wire::kWantB)) {
+    return false;
+  }
+  const std::byte* src = m.payload;
+  src += wire::scatter_matrix(src, a.data(), a.rows(), a.cols(), a.ld(),
+                              sizeof(double));
+  (void)wire::scatter_matrix(src, b.data(), b.rows(), b.cols(), b.ld(),
+                             sizeof(double));
+  return true;
+}
+
+void set_nodelay(const RawSock& s) {
+  int one = 1;
+  ::setsockopt(s.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+TEST(NetFaults, ThreadCountIndependentOfConnections) {
+  if (thread_count() < 0) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  constexpr int kConns = 32;
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  const long before = thread_count();
+  std::vector<std::unique_ptr<RawSock>> socks;
+  for (int i = 0; i < kConns; ++i) {
+    socks.push_back(std::make_unique<RawSock>(listener.port()));
+    ASSERT_GE(socks.back()->fd, 0);
+    ASSERT_TRUE(greet(*socks.back())) << "connection " << i;
+  }
+  // Every handshake has been answered, so every connection is being
+  // served; none of them may have cost a thread.
+  EXPECT_LE(thread_count(), before);
+  socks.clear();
+  listener.shutdown();
+  EXPECT_EQ(listener.stats().connections, static_cast<std::uint64_t>(kConns));
+}
+
+TEST(NetFaults, HandshakeAndFrameSplitAtEveryByteStayBitIdentical) {
+  const idx n = 4, nrhs = 2;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(1, n, nrhs, 9444, as, bs);
+  Matrix<double> ra = as[0], rb = bs[0];
+  std::vector<idx> piv(n);
+  ASSERT_EQ(lapack::gesv(n, nrhs, ra.data(), ra.ld(), piv.data(), rb.data(),
+                         rb.ld()),
+            0);
+  std::vector<std::byte> msg;
+  wire::encode_hello(msg);
+  append_gesv_submit(msg, 77, as[0], bs[0]);
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  for (std::size_t cut = 1; cut < msg.size(); ++cut) {
+    RawSock s(listener.port());
+    ASSERT_GE(s.fd, 0);
+    set_nodelay(s);
+    ASSERT_TRUE(s.send_bytes(msg.data(), cut));
+    // Give the listener a chance to read the first part on its own.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ASSERT_TRUE(s.send_bytes(msg.data() + cut, msg.size() - cut));
+    std::byte ack[wire::kHelloBytes];
+    wire::HelloAck a;
+    ASSERT_EQ(s.drain(ack, sizeof(ack)), wire::kHelloBytes) << "cut " << cut;
+    ASSERT_TRUE(wire::decode_hello_ack({ack, sizeof(ack)}, a) && a.accept);
+    Matrix<double> ga(n, n), gb(n, nrhs);
+    ASSERT_TRUE(read_gesv_result(s, 77, ga, gb)) << "cut " << cut;
+    EXPECT_EQ(max_diff(ra, ga), 0.0) << "cut " << cut;
+    EXPECT_EQ(max_diff(rb, gb), 0.0) << "cut " << cut;
+  }
+  listener.shutdown();
+  EXPECT_EQ(listener.stats().malformed, 0u);
+  EXPECT_EQ(listener.stats().frames_in,
+            static_cast<std::uint64_t>(msg.size() - 1));
+}
+
+TEST(NetFaults, ResetMidFrameLeavesListenerServing) {
+  const idx n = 6, nrhs = 1;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(1, n, nrhs, 9555, as, bs);
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  {
+    RawSock s(listener.port());
+    ASSERT_GE(s.fd, 0);
+    ASSERT_TRUE(greet(s));
+    std::vector<std::byte> frame;
+    append_gesv_submit(frame, 1, as[0], bs[0]);
+    ASSERT_TRUE(s.send_bytes(frame.data(), frame.size() / 2));
+    // A zero linger turns close() into a reset.
+    const linger rst{1, 0};
+    ASSERT_EQ(::setsockopt(s.fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst)), 0);
+  }
+  Matrix<double> ra = as[0], rb = bs[0];
+  std::vector<idx> piv(n);
+  ASSERT_EQ(lapack::gesv(n, nrhs, ra.data(), ra.ld(), piv.data(), rb.data(),
+                         rb.ld()),
+            0);
+  Client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", listener.port()));
+  const JobResult r = cl.gesv(n, nrhs, as[0].data(), as[0].ld(), bs[0].data(),
+                              bs[0].ld());
+  EXPECT_EQ(r.info, 0);
+  EXPECT_EQ(max_diff(ra, as[0]), 0.0);
+  EXPECT_EQ(max_diff(rb, bs[0]), 0.0);
+  cl.close();
+  listener.shutdown();
+  EXPECT_EQ(listener.stats().connections, 2u);
+  EXPECT_EQ(listener.stats().malformed, 0u);
+  EXPECT_EQ(listener.stats().frames_in, 1u);
+}
+
+TEST(NetFaults, StalledReaderBlocksNeitherOtherPeersNorShutdown) {
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  // conn_inflight jobs of 64 KiB results each, far beyond what the socket
+  // buffers and the listener's unsent-byte high water hold: the listener
+  // must stop reading the stalled peer rather than block or buffer it all.
+  const idx cap = listener.config().conn_inflight;
+  std::vector<Matrix<double>> big_a, big_b;
+  build_gesv_problems<double>(1, 64, 64, 9666, big_a, big_b);
+  std::vector<std::byte> frame;
+  append_gesv_submit(frame, 5, big_a[0], big_b[0]);
+
+  constexpr idx kJobs = 1000, kWindow = 50, kProblems = 10;
+  const idx n = 4, nrhs = 1;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kProblems, n, nrhs, 9667, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t p = 0; p < ra.size(); ++p) {
+    ASSERT_EQ(lapack::gesv(n, nrhs, ra[p].data(), ra[p].ld(), piv.data(),
+                           rb[p].data(), rb[p].ld()),
+              0);
+  }
+  Client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", listener.port()));
+  RawSock stalled(listener.port());
+  ASSERT_GE(stalled.fd, 0);
+  ASSERT_TRUE(greet(stalled));
+  // The submissions stall too once the listener stops reading, so they go
+  // out on their own thread; closing the socket at the end releases it.
+  std::thread pusher([&stalled, &frame, cap] {
+    for (idx j = 0; j < cap; ++j) {
+      if (!stalled.send_bytes(frame.data(), frame.size())) {
+        return;
+      }
+    }
+  });
+  idx mismatched = 0;
+  for (idx base = 0; base < kJobs; base += kWindow) {
+    std::vector<Matrix<double>> wa, wb;
+    std::vector<Client::Ticket> ts;
+    for (idx j = 0; j < kWindow; ++j) {
+      const auto p = static_cast<std::size_t>((base + j) % kProblems);
+      wa.push_back(as[p]);
+      wb.push_back(bs[p]);
+    }
+    for (std::size_t j = 0; j < wa.size(); ++j) {
+      ts.push_back(cl.gesv_async(n, nrhs, wa[j].data(), wa[j].ld(),
+                                 wb[j].data(), wb[j].ld()));
+    }
+    for (std::size_t j = 0; j < ts.size(); ++j) {
+      const auto p = static_cast<std::size_t>((base + static_cast<idx>(j)) %
+                                              kProblems);
+      const JobResult r = cl.wait(ts[j]);
+      if (r.info != 0 || max_diff(ra[p], wa[j]) != 0.0 ||
+          max_diff(rb[p], wb[j]) != 0.0) {
+        ++mismatched;
+      }
+    }
+  }
+  EXPECT_EQ(mismatched, 0);
+  cl.close();
+  listener.shutdown();
+  ::shutdown(stalled.fd, SHUT_RDWR);
+  pusher.join();
+  EXPECT_EQ(listener.stats().malformed, 0u);
+  // The listener stopped reading the stalled peer: reading on would have
+  // decoded all kJobs + cap frames. This holds while the loopback socket
+  // buffers take less than the cap's 16 MiB of unread results.
+  EXPECT_LT(listener.stats().frames_in,
+            static_cast<std::uint64_t>(kJobs + cap));
+}
+
+TEST(NetFaults, ClientWindowLargerThanSocketBuffersCompletes) {
+  // 256 jobs of 144 KiB each way in one window: the client's flushes
+  // outrun the socket buffers while results stream back, and the listener
+  // stops reading it past its unsent high water. The client must keep
+  // reading results while a flush waits, or both sides stall for good.
+  const idx n = 96, nrhs = 96, kProblems = 8;
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  const idx jobs = listener.config().conn_inflight;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kProblems, n, nrhs, 9888, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t p = 0; p < ra.size(); ++p) {
+    ASSERT_EQ(lapack::gesv(n, nrhs, ra[p].data(), ra[p].ld(), piv.data(),
+                           rb[p].data(), rb[p].ld()),
+              0);
+  }
+  std::vector<Matrix<double>> wa, wb;
+  for (idx j = 0; j < jobs; ++j) {
+    wa.push_back(as[static_cast<std::size_t>(j % kProblems)]);
+    wb.push_back(bs[static_cast<std::size_t>(j % kProblems)]);
+  }
+  Client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", listener.port()));
+  std::vector<Client::Ticket> ts;
+  for (std::size_t j = 0; j < wa.size(); ++j) {
+    ts.push_back(cl.gesv_async(n, nrhs, wa[j].data(), wa[j].ld(),
+                               wb[j].data(), wb[j].ld()));
+  }
+  idx mismatched = 0;
+  for (std::size_t j = 0; j < ts.size(); ++j) {
+    const auto p = j % static_cast<std::size_t>(kProblems);
+    if (cl.wait(ts[j]).info != 0 || max_diff(ra[p], wa[j]) != 0.0 ||
+        max_diff(rb[p], wb[j]) != 0.0) {
+      ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0);
+  EXPECT_EQ(listener.stats().conn_rejects, 0u);
+}
+
+TEST(NetFaults, ConnectDisconnectChurnKeepsThreadCount) {
+  if (thread_count() < 0) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  constexpr int kCycles = 200;
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  const long before = thread_count();
+  for (int i = 0; i < kCycles; ++i) {
+    {
+      RawSock s(listener.port());
+      ASSERT_GE(s.fd, 0);
+      ASSERT_TRUE(greet(s)) << "cycle " << i;
+    }
+    ASSERT_EQ(thread_count(), before) << "cycle " << i;
+  }
+  listener.shutdown();
+  EXPECT_EQ(listener.stats().connections, static_cast<std::uint64_t>(kCycles));
 }
 
 }  // namespace

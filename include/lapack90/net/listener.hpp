@@ -8,13 +8,17 @@
 // Each connection's bytes collect in one receive buffer: the version
 // handshake first (mismatched peers are acked accept = 0 and dropped),
 // then Submit frames, so a read may split a frame anywhere. Each job's
-// operand payloads are copied into server-owned storage, expanded into
-// type-erased units, and submitted into the embedded serve::Server with
-// a completion hook. A connection with `conn_inflight` jobs already in
-// flight gets a wire-level rejection (Result with info =
-// serve::kInfoRejected) without touching the server — the per-connection
-// admission layer in front of the server-wide queue_depth bound. A
-// malformed or oversized frame drops the connection (the wire contract).
+// operand payloads are copied into server-owned storage and expanded into
+// type-erased units with a completion hook. The jobs decoded in one pass
+// of the loop, from every readable connection, enter the embedded
+// serve::Server together through one submit_many call, so its locks and
+// its dispatcher wake-up are paid once per pass rather than once per job
+// (ListenerStats::admissions counts those calls). A connection with
+// `conn_inflight` jobs already in flight gets a wire-level rejection
+// (Result with info = serve::kInfoRejected) without touching the server
+// — the per-connection admission layer in front of the server-wide
+// queue_depth bound. A malformed or oversized frame drops the connection
+// (the wire contract).
 //
 // The completion hook appends the finished job to one mutex-guarded list
 // and wakes the loop, which encodes results in completion order (results
@@ -71,6 +75,10 @@ struct ListenerStats {
   std::uint64_t frames_out = 0;       ///< result frames written
   std::uint64_t malformed = 0;        ///< connections dropped on bad bytes
   std::uint64_t conn_rejects = 0;     ///< wire-level per-connection rejects
+  std::uint64_t admissions = 0;       ///< serve submit calls: the jobs of
+                                      ///< one loop pass enter together, so
+                                      ///< frames_in / admissions is the
+                                      ///< mean jobs per admission
 };
 
 class Listener {

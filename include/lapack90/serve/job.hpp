@@ -8,7 +8,8 @@
 // driver call, and a large job's units may be spread over several calls.
 // A shared completion block ties a job's units back together: the last
 // unit to finish aggregates the per-entry INFOs and stage timestamps into
-// the JobResult and fulfils the promise.
+// the JobResult, fulfils the promise when the submitter took a future, and
+// calls the completion hook when it gave one.
 //
 // Data ownership follows the batch descriptors: the server never owns or
 // copies matrix data. Operand buffers must stay alive (and untouched by
@@ -23,6 +24,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "lapack90/core/types.hpp"
 
@@ -72,12 +74,13 @@ inline constexpr idx kInfoRejected = -120;
 /// of crashing the executor. Same infrastructure block as kInfoRejected.
 inline constexpr idx kInfoUnsupported = -121;
 
-/// Completed-job report delivered through the future. The stage
+/// Completed-job report delivered through the future (and the completion
+/// hook, for transport front ends). The stage
 /// timestamps every unit carries (enqueue, coalesce/flush, execute) are
 /// folded into the three durations: queue_us is admission to the start of
 /// the first batch call that carried one of the job's entries, exec_us
 /// spans the first to the last of those calls, total_us is admission to
-/// promise fulfilment as observed by the server.
+/// job completion as observed by the server.
 struct JobResult {
   idx info = 0;      ///< 0, kInfoRejected, or 1-based first failing entry
   idx entries = 0;   ///< problems in the job (1 for the single-problem API)
@@ -110,8 +113,11 @@ using clock = std::chrono::steady_clock;
 /// Per-job completion block shared by the job's units. All fields except
 /// the promise are updated with relaxed atomics from the executor; the
 /// last unit (remaining hits zero) reads them back single-threadedly.
+/// The promise exists only when the submitter took a future: a
+/// std::promise allocates its shared state on construction, and a
+/// transport front end that completes through `on_done` never reads it.
 struct JobShared {
-  std::promise<JobResult> promise;
+  std::optional<std::promise<JobResult>> promise;
   std::atomic<idx> remaining{0};
   std::atomic<idx> first_fail{0};  // 0 = all ok, else min 1-based entry
   std::atomic<std::int64_t> exec_start_ns{
@@ -122,9 +128,9 @@ struct JobShared {
   idx entries = 0;
   clock::time_point t_submit{};
   /// Optional completion hook for transport front ends: invoked on the
-  /// executing dispatcher thread right after the promise is fulfilled
-  /// (rejections invoke it on the submitting thread). Must be cheap — it
-  /// runs inside the dispatch loop.
+  /// executing dispatcher thread right after the promise (if any) is
+  /// fulfilled (rejections and zero-entry jobs invoke it on the submitting
+  /// thread). Must be cheap — it runs inside the dispatch loop.
   CompletionFn on_done = nullptr;
   void* on_done_ctx = nullptr;
 };

@@ -7,7 +7,11 @@
 //                every admitted-but-uncompleted problem (queued,
 //                coalescing, or executing); a submission that would exceed
 //                it resolves immediately with info = kInfoRejected instead
-//                of blocking the client or growing without bound.
+//                of blocking the client or growing without bound. Every
+//                submission goes through submit_many, which admits a whole
+//                span of jobs under one take of each mutex and wakes the
+//                dispatcher once, so a front end that decodes many jobs at
+//                a time pays the locking and the wake-up once per batch.
 //   coalescing — units are bucketed by (routine, dtype, uplo/trans).
 //                A bucket flushes when it reaches ServeBatchMax entries,
 //                when its oldest entry has waited ServeFlushUs
@@ -39,6 +43,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "lapack90/batch/descriptor.hpp"
@@ -56,6 +61,18 @@ struct Config {
   idx queue_depth = 0;  ///< max in-flight entries (ServeQueueDepth)
   idx flush_us = 0;     ///< coalescing deadline, microseconds (ServeFlushUs)
   idx batch_max = 0;    ///< max entries per coalesced flush (ServeBatchMax)
+};
+
+/// One job of a multi-job admission (Server::submit_many): `count`
+/// type-erased units, the completion hook, and where to put the job's
+/// future. A null `future` takes none, and the job then creates no
+/// promise: it completes through `on_done` alone.
+struct Submission {
+  detail::Unit* units = nullptr;
+  idx count = 0;
+  CompletionFn on_done = nullptr;
+  void* on_done_ctx = nullptr;
+  std::future<JobResult>* future = nullptr;
 };
 
 class Server {
@@ -184,20 +201,30 @@ class Server {
   /// Completion hook for type-erased submissions: invoked exactly once per
   /// job as `on_done(ctx, r)` with the same JobResult the future carries,
   /// on the dispatcher thread that completed the job (on the submitting
-  /// thread for admission rejections). Must be cheap — it runs inside the
-  /// dispatch loop; hand heavy work to another thread.
+  /// thread for admission rejections and zero-entry jobs). Must be cheap —
+  /// it runs inside the dispatch loop; hand heavy work to another thread.
   using CompletionFn = serve::CompletionFn;
 
   /// Type-erased core used by the typed methods above and by transport
-  /// front ends (la::net) that decode routine/dtype at runtime: stamps the
-  /// shared completion block, admits or rejects, enqueues on the
-  /// dispatcher. The units' routine/dtype/pointer fields must be fully
-  /// populated; ownership rules match the typed methods. A mixed_gesv unit
-  /// whose dtype has no lower working precision completes with per-entry
-  /// INFO = kInfoUnsupported instead of executing.
+  /// front ends (la::net) that decode routine/dtype at runtime: the
+  /// one-job case of submit_many, returning the job's future. The units'
+  /// routine/dtype/pointer fields must be fully populated; ownership rules
+  /// match the typed methods. A mixed_gesv unit whose dtype has no lower
+  /// working precision completes with per-entry INFO = kInfoUnsupported
+  /// instead of executing.
   std::future<JobResult> submit_units(detail::Unit* units, idx count,
                                       CompletionFn on_done = nullptr,
                                       void* on_done_ctx = nullptr);
+
+  /// Admit several jobs at once — the only admission path. Each job's
+  /// shared completion block is stamped, then the admission mutex and the
+  /// queue mutex are each taken once for the whole span and the
+  /// dispatcher is notified once. Per-job semantics are those of
+  /// submit_units called once per job in span order: each job is admitted
+  /// or rejected (kInfoRejected) on its own against the in-flight bound, a
+  /// zero-entry job completes at once with info 0, and every job completes
+  /// exactly once, through its future and its hook.
+  void submit_many(std::span<Submission> jobs);
 
  private:
   struct Engine;

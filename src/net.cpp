@@ -40,6 +40,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -98,43 +99,69 @@ void set_nodelay(int fd) noexcept {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Grow-and-compact receive buffer: keeps unconsumed bytes at the front.
+/// Receive buffer that keeps its storage between reads. The unconsumed
+/// bytes are [head, tail); recv() writes at the tail into storage that is
+/// allocated for overwrite, so no read pays for zero-filling. When fewer
+/// than kMinRead bytes are free at the tail, the unconsumed bytes move to
+/// the front, or, when that would still leave too little room (a frame
+/// larger than the buffer), the storage doubles.
 struct RecvBuf {
-  std::vector<std::byte> data;
+  static constexpr std::size_t kInitial = std::size_t{256} << 10;
+  static constexpr std::size_t kMinRead = std::size_t{64} << 10;
+
+  std::unique_ptr<std::byte[]> data;
+  std::size_t cap = 0;
   std::size_t head = 0;
+  std::size_t tail = 0;
 
   [[nodiscard]] std::span<const std::byte> view() const noexcept {
-    return {data.data() + head, data.size() - head};
+    return {data.get() + head, tail - head};
   }
 
   void consume(std::size_t n) noexcept {
     head += n;
-    if (head == data.size()) {
-      data.clear();
-      head = 0;
-    } else if (head > (std::size_t{1} << 20)) {
-      data.erase(data.begin(),
-                 data.begin() + static_cast<std::ptrdiff_t>(head));
-      head = 0;
+    if (head == tail) {
+      head = tail = 0;
     }
   }
 
   /// recv() once into the tail; false on EOF/error. A non-blocking socket
   /// with nothing to read yet leaves the buffer as it was and returns true.
   [[nodiscard]] bool fill(int fd) {
-    constexpr std::size_t kChunk = std::size_t{256} << 10;
-    const std::size_t old = data.size();
-    data.resize(old + kChunk);
+    make_room();
     ssize_t r;
     do {
-      r = ::recv(fd, data.data() + old, kChunk, 0);
+      r = ::recv(fd, data.get() + tail, cap - tail, 0);
     } while (r < 0 && errno == EINTR);
     if (r <= 0) {
-      data.resize(old);
       return r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
     }
-    data.resize(old + static_cast<std::size_t>(r));
+    tail += static_cast<std::size_t>(r);
     return true;
+  }
+
+ private:
+  void make_room() {
+    if (cap - tail >= kMinRead) {
+      return;
+    }
+    const std::size_t live = tail - head;
+    if (cap - live >= kMinRead) {
+      std::memmove(data.get(), data.get() + head, live);
+    } else {
+      std::size_t grown = std::max(kInitial, 2 * cap);
+      while (grown - live < kMinRead) {
+        grown *= 2;
+      }
+      auto bigger = std::make_unique_for_overwrite<std::byte[]>(grown);
+      if (live > 0) {
+        std::memcpy(bigger.get(), data.get() + head, live);
+      }
+      data = std::move(bigger);
+      cap = grown;
+    }
+    head = 0;
+    tail = live;
   }
 };
 
@@ -162,6 +189,7 @@ struct Listener::Impl {
   std::atomic<u64> n_frames_out{0};
   std::atomic<u64> n_malformed{0};
   std::atomic<u64> n_conn_rejects{0};
+  std::atomic<u64> n_admissions{0};
 
   /// One decoded job living server-side: the operand payloads are copied
   /// out of the frame into `blob` (packed, ld = rows — exactly the wire
@@ -201,6 +229,9 @@ struct Listener::Impl {
 
   std::unordered_map<u64, Conn> conns;  // loop thread only
   u64 next_conn = 0;
+  // Jobs decoded in the current pass, from every connection, not yet
+  // handed to serve (loop thread only).
+  std::vector<serve::Submission> subs;
   bool accepting = true;  // false while the process is out of descriptors
 
   std::mutex done_mu;
@@ -317,6 +348,7 @@ struct Listener::Impl {
           close_conn(c);
         }
       }
+      admit();
       if ((pfds[0].revents & POLLIN) != 0) {
         accept_all();
       }
@@ -492,8 +524,21 @@ struct Listener::Impl {
     serve::detail::Unit* units = jd->units.data();
     // Ownership transfers to the callback context; serve invokes on_done
     // exactly once per submitted job (including rejects and drain).
-    server.submit_units(units, count, &Impl::on_job_done, jd.release());
+    subs.push_back({units, count, &Impl::on_job_done, jd.release(), nullptr});
     return true;
+  }
+
+  /// Hand every job decoded in this pass to serve with one admission:
+  /// one take of its locks and one dispatcher wake-up for all of them.
+  /// A connection dropped for a bad frame after good ones still has its
+  /// good jobs here, so they run, come back and free its in-flight slots.
+  void admit() {
+    if (subs.empty()) {
+      return;
+    }
+    n_admissions.fetch_add(1, std::memory_order_relaxed);
+    server.submit_many(subs);
+    subs.clear();
   }
 
   /// serve::CompletionFn: reclaims the JobData and appends it to the
@@ -601,6 +646,7 @@ ListenerStats Listener::stats() const {
   s.frames_out = impl_->n_frames_out.load(std::memory_order_relaxed);
   s.malformed = impl_->n_malformed.load(std::memory_order_relaxed);
   s.conn_rejects = impl_->n_conn_rejects.load(std::memory_order_relaxed);
+  s.admissions = impl_->n_admissions.load(std::memory_order_relaxed);
   return s;
 }
 

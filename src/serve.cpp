@@ -3,18 +3,21 @@
 //
 // Threading model. Each Server owns one dispatcher thread with its own
 // submission queue and coalescing groups. Clients only touch the
-// admission mutex, the queue mutex and the per-job promise. The
-// dispatcher is the sole executor: it pops everything available, routes
-// units into dtype/routine-keyed coalesce groups, and issues one
-// la::batch driver call per flush. The batch call fans its entries out
-// across the PR-1 worker pool internally (small-entry regime) or runs
-// serial-outer with the threaded Level-3 inside (large entries). There is
+// admission mutex and the queue mutex (each taken once per submit_many
+// call, however many jobs it carries) and, when they took a future, the
+// per-job promise. The dispatcher is the sole executor: it pops
+// everything available, routes units into dtype/routine-keyed coalesce
+// groups, and issues one la::batch driver call per flush. The batch call
+// fans its entries out across the PR-1 worker pool internally
+// (small-entry regime) or runs serial-outer with the threaded Level-3
+// inside (large entries). There is
 // exactly one team at a time, so serving never oversubscribes the kernel
 // threads. Because a job's completion block is only ever updated from
 // the dispatcher, its counters are relaxed atomics for the cross-thread
-// promise handoff only; the promise/future pair provides the
-// synchronizes-with edge that makes the solved operand buffers and the
-// per-entry INFO slots visible to the client.
+// handoff only; the promise/future pair (or, for a completion hook, the
+// hook's own synchronization) provides the synchronizes-with edge that
+// makes the solved operand buffers and the per-entry INFO slots visible
+// to the client.
 
 #include "lapack90/serve/serve.hpp"
 
@@ -27,6 +30,7 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -461,7 +465,9 @@ struct Server::Engine {
     StatsBlock::record(stats.latency_hist, total_ns);
     StatsBlock::record(stats.queue_hist, start_ns - submit_ns);
     stats.note_max(total_ns);
-    sh.promise.set_value(r);
+    if (sh.promise) {
+      sh.promise->set_value(r);
+    }
     if (sh.on_done != nullptr) {
       sh.on_done(sh.on_done_ctx, r);
     }
@@ -539,73 +545,111 @@ void Server::reset_stats() { eng_->stats.reset(); }
 std::future<JobResult> Server::submit_units(detail::Unit* units, idx count,
                                             CompletionFn on_done,
                                             void* on_done_ctx) {
+  std::future<JobResult> fut;
+  Submission job{units, count, on_done, on_done_ctx, &fut};
+  submit_many({&job, 1});
+  return fut;
+}
+
+void Server::submit_many(std::span<Submission> jobs) {
   Engine& e = *eng_;
-  auto shared = std::make_shared<JobShared>();
-  shared->entries = count;
-  shared->remaining.store(count, std::memory_order_relaxed);
-  shared->t_submit = clock::now();
-  shared->on_done = on_done;
-  shared->on_done_ctx = on_done_ctx;
-  // get_future() before the units can reach a dispatcher: the standard
-  // does not allow get_future to race with set_value.
-  std::future<JobResult> fut = shared->promise.get_future();
-  e.stats.submitted_jobs.fetch_add(1, std::memory_order_relaxed);
-  e.stats.submitted_entries.fetch_add(static_cast<u64>(count),
-                                      std::memory_order_relaxed);
-  if (count == 0) {
-    JobResult r;
-    e.stats.completed_jobs.fetch_add(1, std::memory_order_relaxed);
-    shared->promise.set_value(r);
-    if (shared->on_done != nullptr) {
-      shared->on_done(shared->on_done_ctx, r);
+  const clock::time_point now = clock::now();
+  u64 entries = 0;
+  for (Submission& j : jobs) {
+    entries += static_cast<u64>(j.count);
+    if (j.count == 0) {
+      continue;  // completes below without a completion block
     }
-    return fut;
+    auto shared = std::make_shared<JobShared>();
+    shared->entries = j.count;
+    shared->remaining.store(j.count, std::memory_order_relaxed);
+    shared->t_submit = now;
+    shared->on_done = j.on_done;
+    shared->on_done_ctx = j.on_done_ctx;
+    if (j.future != nullptr) {
+      // get_future() before the units can reach a dispatcher: the standard
+      // does not allow get_future to race with set_value.
+      *j.future = shared->promise.emplace().get_future();
+    }
+    for (idx i = 1; i < j.count; ++i) {
+      j.units[i].entry_index = i;
+      j.units[i].shared = shared;
+    }
+    j.units[0].entry_index = 0;
+    j.units[0].shared = std::move(shared);
   }
-  for (idx i = 0; i < count; ++i) {
-    units[i].entry_index = i;
-    units[i].shared = shared;
+  e.stats.submitted_jobs.fetch_add(static_cast<u64>(jobs.size()),
+                                   std::memory_order_relaxed);
+  e.stats.submitted_entries.fetch_add(entries, std::memory_order_relaxed);
+  // One verdict per job, taken under the locks: an admitted job may
+  // complete, and its hook free its units, before this call returns, so
+  // its units cannot be asked afterwards. Short spans (every submit_units
+  // call) keep the verdicts on the stack.
+  std::array<std::uint8_t, 64> small{};
+  std::vector<std::uint8_t> big;
+  std::uint8_t* admitted = small.data();
+  if (jobs.size() > small.size()) {
+    big.assign(jobs.size(), 0);
+    admitted = big.data();
   }
-  bool rejected = false;
+  bool queued = false;
   {
-    std::lock_guard<std::mutex> lk(e.adm_mu);
-    if (e.stopping || e.in_flight > e.cfg.queue_depth - count) {
-      rejected = true;
-    } else {
-      e.in_flight += count;
+    // adm_mu before mu, the one order in which they are ever nested.
+    // shutdown() sets `stopping` under adm_mu before it sets `draining`
+    // under mu, so while both are held here and `stopping` is false the
+    // dispatcher cannot be draining: an admitted unit always lands on a
+    // live queue.
+    const std::lock_guard<std::mutex> adm(e.adm_mu);
+    const std::lock_guard<std::mutex> lk(e.mu);
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+      Submission& j = jobs[k];
+      if (j.count == 0 || e.stopping ||
+          e.in_flight > e.cfg.queue_depth - j.count) {
+        continue;
+      }
+      e.in_flight += j.count;
+      for (idx i = 0; i < j.count; ++i) {
+        e.queue.push_back(std::move(j.units[i]));
+      }
+      admitted[k] = 1;
+      queued = true;
     }
   }
-  if (!rejected) {
-    std::unique_lock<std::mutex> lk(e.mu);
-    if (e.draining) {
-      // shutdown() slipped in between admission and enqueue: the
-      // dispatcher may already be joined, so pushing now would strand the
-      // units on a dead queue (promise never set, in_flight never
-      // released). Give the admission slots back and reject instead.
-      lk.unlock();
-      e.release_in_flight(count);
-      rejected = true;
+  if (queued) {
+    e.cv_work.notify_one();
+  }
+  // The rest complete here, on the submitting thread: zero-entry jobs,
+  // and rejected jobs, whose units still hold their completion block.
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const Submission& j = jobs[k];
+    if (admitted[k] != 0) {
+      continue;  // the dispatcher completes it
+    }
+    JobResult r;
+    if (j.count == 0) {
+      e.stats.completed_jobs.fetch_add(1, std::memory_order_relaxed);
+      if (j.future != nullptr) {
+        std::promise<JobResult> p;
+        *j.future = p.get_future();
+        p.set_value(r);
+      }
     } else {
-      for (idx i = 0; i < count; ++i) {
-        e.queue.push_back(std::move(units[i]));
+      const std::shared_ptr<JobShared> shared = std::move(j.units[0].shared);
+      for (idx i = 1; i < j.count; ++i) {
+        j.units[i].shared.reset();
+      }
+      e.stats.rejected_jobs.fetch_add(1, std::memory_order_relaxed);
+      r.info = kInfoRejected;
+      r.entries = j.count;
+      if (shared->promise) {
+        shared->promise->set_value(r);
       }
     }
-  }
-  if (rejected) {
-    for (idx i = 0; i < count; ++i) {
-      units[i].shared.reset();
+    // The hook may free this job's units (a transport's job storage).
+    if (j.on_done != nullptr) {
+      j.on_done(j.on_done_ctx, r);
     }
-    e.stats.rejected_jobs.fetch_add(1, std::memory_order_relaxed);
-    JobResult r;
-    r.info = kInfoRejected;
-    r.entries = count;
-    shared->promise.set_value(r);
-    if (shared->on_done != nullptr) {
-      shared->on_done(shared->on_done_ctx, r);
-    }
-    return fut;
   }
-  e.cv_work.notify_one();
-  return fut;
 }
 
 // ---------------------------------------------------------------------------

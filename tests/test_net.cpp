@@ -23,6 +23,8 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -209,6 +211,52 @@ TYPED_TEST(NetLoopbackTest, BatchSubmissionMatchesDirectLoop) {
 
 // ---------------------------------------------------------------------------
 // mixed precision over the wire
+
+TEST(NetLoopback, PipelinedWindowSharesAdmissions) {
+  // A client that pipelines a 128-job window sends its Submit frames in
+  // one flush; the listener admits every job it decodes in one loop pass
+  // with one serve call, so there are fewer admissions than frames.
+  constexpr idx kWindow = 128, kProblems = 8;
+  const idx n = 4, nrhs = 1;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kProblems, n, nrhs, 9131, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t p = 0; p < ra.size(); ++p) {
+    ASSERT_EQ(lapack::gesv(n, nrhs, ra[p].data(), ra[p].ld(), piv.data(),
+                           rb[p].data(), rb[p].ld()),
+              0);
+  }
+  std::vector<Matrix<double>> wa, wb;
+  for (idx j = 0; j < kWindow; ++j) {
+    wa.push_back(as[static_cast<std::size_t>(j % kProblems)]);
+    wb.push_back(bs[static_cast<std::size_t>(j % kProblems)]);
+  }
+  Loop lo;
+  std::vector<Client::Ticket> ts;
+  for (std::size_t j = 0; j < wa.size(); ++j) {
+    ts.push_back(lo.client.gesv_async(n, nrhs, wa[j].data(), wa[j].ld(),
+                                      wb[j].data(), wb[j].ld()));
+  }
+  idx mismatched = 0;
+  for (std::size_t j = 0; j < ts.size(); ++j) {
+    const auto p = j % static_cast<std::size_t>(kProblems);
+    if (lo.client.wait(ts[j]).info != 0 || max_diff(ra[p], wa[j]) != 0.0 ||
+        max_diff(rb[p], wb[j]) != 0.0) {
+      ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0);
+  const net::ListenerStats st = lo.listener.stats();
+  EXPECT_EQ(st.frames_in, static_cast<std::uint64_t>(kWindow));
+  ASSERT_GE(st.admissions, 1u);
+  EXPECT_GT(static_cast<double>(st.frames_in) /
+                static_cast<double>(st.admissions),
+            1.0)
+      << st.admissions << " admissions";
+  EXPECT_EQ(lo.listener.server().stats().submitted_jobs,
+            static_cast<std::uint64_t>(kWindow));
+}
 
 TEST(NetMixed, MixedGesvMatchesInProcessServe) {
   const idx n = 24, nrhs = 2;
@@ -883,6 +931,65 @@ TEST(NetFaults, ClientWindowLargerThanSocketBuffersCompletes) {
   EXPECT_EQ(listener.stats().conn_rejects, 0u);
 }
 
+TEST(NetFaults, ValidFramesBeforeMalformedFrameRunAndPeerIsDropped) {
+  // One send() carries several valid Submit frames and then a frame of
+  // unknown type. The listener drops the peer on the bad frame, but the
+  // jobs decoded before it were already taken on: they must be admitted
+  // and complete (their storage comes back through serve, so ASan sees no
+  // leak), and the listener must go on serving fresh clients.
+  const idx n = 5, nrhs = 1;
+  constexpr std::size_t kValid = 4;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kValid, n, nrhs, 9777, as, bs);
+  Listener listener;
+  ASSERT_TRUE(listener.ok());
+  {
+    RawSock s(listener.port());
+    ASSERT_GE(s.fd, 0);
+    ASSERT_TRUE(greet(s));
+    std::vector<std::byte> msg;
+    for (std::size_t i = 0; i < kValid; ++i) {
+      append_gesv_submit(msg, i + 1, as[i], bs[i]);
+    }
+    const std::size_t at = msg.size();
+    msg.resize(at + wire::kFrameHeaderBytes + 8);
+    msg[at] = std::byte{8};        // len = 8
+    msg[at + 4] = std::byte{99};  // unknown type
+    ASSERT_TRUE(s.send_bytes(msg.data(), msg.size()));
+    // Dropped: the read ends at EOF (or a reset), whatever it got first.
+    std::vector<std::byte> rest(std::size_t{1} << 20);
+    (void)s.drain(rest.data(), rest.size());
+  }
+  for (int spin = 0;
+       spin < 5000 && listener.server().stats().submitted_jobs < kValid;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  listener.server().wait_idle();
+  const serve::Stats ss = listener.server().stats();
+  EXPECT_EQ(ss.submitted_jobs, kValid);
+  EXPECT_EQ(ss.completed_jobs, ss.submitted_jobs);
+  EXPECT_EQ(listener.stats().malformed, 1u);
+  EXPECT_EQ(listener.stats().frames_in, kValid);
+
+  std::vector<Matrix<double>> fa, fb;
+  build_gesv_problems<double>(1, n, nrhs, 9778, fa, fb);
+  Matrix<double> ra = fa[0], rb = fb[0];
+  std::vector<idx> piv(n);
+  ASSERT_EQ(lapack::gesv(n, nrhs, ra.data(), ra.ld(), piv.data(), rb.data(),
+                         rb.ld()),
+            0);
+  Client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", listener.port()));
+  const JobResult r = cl.gesv(n, nrhs, fa[0].data(), fa[0].ld(), fb[0].data(),
+                              fb[0].ld());
+  EXPECT_EQ(r.info, 0);
+  EXPECT_EQ(max_diff(ra, fa[0]), 0.0);
+  EXPECT_EQ(max_diff(rb, fb[0]), 0.0);
+  cl.close();
+  listener.shutdown();
+}
+
 TEST(NetFaults, ConnectDisconnectChurnKeepsThreadCount) {
   if (thread_count() < 0) {
     GTEST_SKIP() << "/proc/self/task is not available";
@@ -901,6 +1008,299 @@ TEST(NetFaults, ConnectDisconnectChurnKeepsThreadCount) {
   }
   listener.shutdown();
   EXPECT_EQ(listener.stats().connections, static_cast<std::uint64_t>(kCycles));
+}
+
+
+// ---------------------------------------------------------------------------
+// faults against net::Client: a fake server that splits, inflates or
+// resets its Result frames
+
+bool recv_exact(int fd, void* dst, std::size_t len) {
+  auto* p = static_cast<std::byte*>(dst);
+  while (len > 0) {
+    const ssize_t r = ::recv(fd, p, len, 0);
+    if (r <= 0) {
+      return false;
+    }
+    p += r;
+    len -= static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
+bool send_all(int fd, const std::byte* p, std::size_t len) {
+  return len == 0 ||
+         ::send(fd, p, len, MSG_NOSIGNAL) == static_cast<ssize_t>(len);
+}
+
+/// Read one Submit frame off `fd` and return its job id (0 on failure).
+std::uint64_t read_submit(int fd) {
+  std::vector<std::byte> buf(wire::kFrameHeaderBytes);
+  if (!recv_exact(fd, buf.data(), buf.size())) {
+    return 0;
+  }
+  const auto len = wire::detail::load_le<std::uint32_t>(buf.data());
+  buf.resize(wire::kFrameHeaderBytes + len);
+  wire::FrameView fv;
+  wire::SubmitMsg m;
+  if (!recv_exact(fd, buf.data() + wire::kFrameHeaderBytes, len) ||
+      wire::parse_frame(buf, wire::kDefaultMaxFrame, fv) !=
+          wire::FrameStatus::ok ||
+      !wire::decode_submit(fv.payload, m)) {
+    return 0;
+  }
+  return m.job_id;
+}
+
+/// Append a successful gesv Result frame carrying `a` and `b`.
+void append_gesv_result(std::vector<std::byte>& out, std::uint64_t job_id,
+                        const Matrix<double>& a, const Matrix<double>& b) {
+  const wire::EntryResult e{0, 0, {a.rows(), a.cols(), b.rows(), b.cols()}};
+  const std::size_t at = wire::encode_result_header(
+      out, job_id, 0, 0, wire::kWantA | wire::kWantB, {&e, 1});
+  wire::append_matrix(out, a.data(), a.rows(), a.cols(), a.ld(),
+                      sizeof(double));
+  wire::append_matrix(out, b.data(), b.rows(), b.cols(), b.ld(),
+                      sizeof(double));
+  wire::end_frame(out, at);
+}
+
+/// Block until the peer closes its end.
+void await_eof(int fd) {
+  std::byte sink[256];
+  while (::recv(fd, sink, sizeof(sink), 0) > 0) {
+  }
+}
+
+/// A fake la::net server on an ephemeral loopback port. It accepts
+/// `conns` connections one after another, acks each handshake, and hands
+/// the socket to `script(k, fd)` for the k-th connection; the socket is
+/// closed when the script returns.
+struct FakePeer {
+  int lfd = -1;
+  int port = 0;
+  std::thread th;
+
+  FakePeer(int conns, std::function<void(int, int)> script) {
+    lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t alen = sizeof(addr);
+    if (lfd < 0 ||
+        ::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(lfd, 4) != 0 ||
+        ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen) != 0) {
+      return;
+    }
+    port = ntohs(addr.sin_port);
+    th = std::thread([this, conns, script = std::move(script)] {
+      for (int k = 0; k < conns; ++k) {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0) {
+          return;  // the destructor shut the listen socket down
+        }
+        // Split sends must leave at once, not wait on a delayed ACK.
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        std::byte hello[wire::kHelloBytes];
+        std::vector<std::byte> ack;
+        wire::encode_hello_ack(
+            ack, {.accept = true,
+                  .max_frame =
+                      static_cast<std::uint32_t>(wire::kDefaultMaxFrame)});
+        if (recv_exact(fd, hello, sizeof(hello)) &&
+            send_all(fd, ack.data(), ack.size())) {
+          script(k, fd);
+        }
+        ::close(fd);
+      }
+    });
+  }
+
+  ~FakePeer() {
+    if (lfd >= 0) {
+      ::shutdown(lfd, SHUT_RDWR);  // releases an accept() a failure skipped
+    }
+    if (th.joinable()) {
+      th.join();
+    }
+    if (lfd >= 0) {
+      ::close(lfd);
+    }
+  }
+};
+
+/// Client::wait with a watchdog: a ticket still unresolved after 30 s is a
+/// hang, reported as a failure; closing the client releases the waiter.
+JobResult wait_or_fail(Client& cl, Client::Ticket t) {
+  auto f = std::async(std::launch::async, [&cl, t] { return cl.wait(t); });
+  if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "ticket " << t << " never resolved";
+    cl.close();
+  }
+  return f.get();
+}
+
+TEST(NetClientFaults, ResultFrameSplitAtEveryByteStaysBitIdentical) {
+  const idx n = 4, nrhs = 2;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(1, n, nrhs, 9911, as, bs);
+  Matrix<double> ra = as[0], rb = bs[0];
+  std::vector<idx> piv(n);
+  ASSERT_EQ(lapack::gesv(n, nrhs, ra.data(), ra.ld(), piv.data(), rb.data(),
+                         rb.ld()),
+            0);
+  std::vector<std::byte> probe;
+  append_gesv_result(probe, 1, ra, rb);
+  const int cuts = static_cast<int>(probe.size()) - 1;
+  // Connection k gets its Result frame in two sends cut after byte k + 1.
+  FakePeer peer(cuts, [&ra, &rb](int k, int fd) {
+    const std::uint64_t id = read_submit(fd);
+    std::vector<std::byte> res;
+    append_gesv_result(res, id, ra, rb);
+    const auto cut = static_cast<std::size_t>(k) + 1;
+    if (id == 0 || !send_all(fd, res.data(), cut)) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (send_all(fd, res.data() + cut, res.size() - cut)) {
+      await_eof(fd);
+    }
+  });
+  ASSERT_GT(peer.port, 0);
+  for (int k = 0; k < cuts; ++k) {
+    Matrix<double> a = as[0], b = bs[0];
+    Client cl;
+    ASSERT_TRUE(cl.connect("127.0.0.1", peer.port)) << "cut " << k + 1;
+    const Client::Ticket t =
+        cl.gesv_async(n, nrhs, a.data(), a.ld(), b.data(), b.ld());
+    const JobResult r = wait_or_fail(cl, t);
+    EXPECT_EQ(r.info, 0) << "cut " << k + 1;
+    EXPECT_EQ(max_diff(ra, a), 0.0) << "cut " << k + 1;
+    EXPECT_EQ(max_diff(rb, b), 0.0) << "cut " << k + 1;
+  }
+}
+
+TEST(NetClientFaults, StreamWithResultOverOneMiBGrowsAndCompactsBuffer) {
+  // 24 results of 16 KiB, one of 1.2 MiB, then 4 more of 16 KiB, sent as
+  // one stream in 96 KiB pieces: the client's receive buffer must keep a
+  // partial frame across reads, move it to the front once the consumed
+  // frames before it leave too little room, and grow for the big one.
+  struct Job {
+    idx n, nrhs;
+  };
+  std::vector<Job> jobs(24, Job{32, 32});
+  jobs.push_back(Job{256, 320});
+  jobs.insert(jobs.end(), 4, Job{32, 32});
+  std::vector<Matrix<double>> as, bs, ra, rb;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    std::vector<Matrix<double>> a1, b1;
+    build_gesv_problems<double>(1, jobs[j].n, jobs[j].nrhs,
+                                9920 + static_cast<int>(j), a1, b1);
+    as.push_back(a1[0]);
+    bs.push_back(b1[0]);
+    Matrix<double> x = a1[0], y = b1[0];
+    std::vector<idx> piv(static_cast<std::size_t>(jobs[j].n));
+    ASSERT_EQ(lapack::gesv(jobs[j].n, jobs[j].nrhs, x.data(), x.ld(),
+                           piv.data(), y.data(), y.ld()),
+              0);
+    ra.push_back(std::move(x));
+    rb.push_back(std::move(y));
+  }
+  const auto big_bytes = static_cast<std::size_t>(
+      ra[24].rows() * ra[24].cols() + rb[24].rows() * rb[24].cols()) *
+      sizeof(double);
+  ASSERT_GT(big_bytes, std::size_t{1} << 20);
+  FakePeer peer(1, [&ra, &rb](int, int fd) {
+    std::vector<std::byte> stream;
+    for (std::size_t j = 0; j < ra.size(); ++j) {
+      const std::uint64_t id = read_submit(fd);
+      if (id == 0) {
+        return;
+      }
+      append_gesv_result(stream, id, ra[j], rb[j]);
+    }
+    constexpr std::size_t kPiece = std::size_t{96} << 10;
+    for (std::size_t at = 0; at < stream.size(); at += kPiece) {
+      if (!send_all(fd, stream.data() + at,
+                    std::min(kPiece, stream.size() - at))) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    await_eof(fd);
+  });
+  ASSERT_GT(peer.port, 0);
+  Client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", peer.port));
+  std::vector<Client::Ticket> ts;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ts.push_back(cl.gesv_async(jobs[j].n, jobs[j].nrhs, as[j].data(),
+                               as[j].ld(), bs[j].data(), bs[j].ld()));
+  }
+  // The peer answers only once it has every Submit frame; wait() alone
+  // would not push the tail still buffered behind the first ticket.
+  cl.flush();
+  for (std::size_t j = 0; j < ts.size(); ++j) {
+    EXPECT_EQ(wait_or_fail(cl, ts[j]).info, 0) << "job " << j;
+    EXPECT_EQ(max_diff(ra[j], as[j]), 0.0) << "job " << j;
+    EXPECT_EQ(max_diff(rb[j], bs[j]), 0.0) << "job " << j;
+  }
+  cl.close();
+}
+
+TEST(NetClientFaults, ResetMidFrameFailsOnlyTheUnfinishedTicket) {
+  // One whole Result frame, then half of the next, then a reset: the
+  // first ticket completes (bit-identically, unless the reset overtook
+  // its bytes), the second fails kInfoNetClosed, and neither hangs.
+  const idx n = 6, nrhs = 1;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(2, n, nrhs, 9933, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t j = 0; j < 2; ++j) {
+    ASSERT_EQ(lapack::gesv(n, nrhs, ra[j].data(), ra[j].ld(), piv.data(),
+                           rb[j].data(), rb[j].ld()),
+              0);
+  }
+  FakePeer peer(1, [&ra, &rb](int, int fd) {
+    const std::uint64_t id0 = read_submit(fd);
+    const std::uint64_t id1 = read_submit(fd);
+    std::vector<std::byte> first, second;
+    append_gesv_result(first, id0, ra[0], rb[0]);
+    append_gesv_result(second, id1, ra[1], rb[1]);
+    if (id0 == 0 || id1 == 0 || !send_all(fd, first.data(), first.size())) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (void)send_all(fd, second.data(), second.size() / 2);
+    // A zero linger turns the close after the script into a reset.
+    const linger rst{1, 0};
+    (void)::setsockopt(fd, SOL_SOCKET, SO_LINGER, &rst, sizeof(rst));
+  });
+  ASSERT_GT(peer.port, 0);
+  Client cl;
+  ASSERT_TRUE(cl.connect("127.0.0.1", peer.port));
+  std::vector<Client::Ticket> ts;
+  for (std::size_t j = 0; j < 2; ++j) {
+    ts.push_back(cl.gesv_async(n, nrhs, as[j].data(), as[j].ld(),
+                               bs[j].data(), bs[j].ld()));
+  }
+  const JobResult r0 = wait_or_fail(cl, ts[0]);
+  if (r0.info == 0) {
+    EXPECT_EQ(max_diff(ra[0], as[0]), 0.0);
+    EXPECT_EQ(max_diff(rb[0], bs[0]), 0.0);
+  } else {
+    EXPECT_EQ(r0.info, net::kInfoNetClosed);
+  }
+  EXPECT_EQ(wait_or_fail(cl, ts[1]).info, net::kInfoNetClosed);
+  EXPECT_FALSE(cl.ok());
+  // A closed client answers new submissions at once.
+  EXPECT_EQ(cl.gesv(n, nrhs, as[1].data(), as[1].ld(), bs[1].data(),
+                    bs[1].ld())
+                .info,
+            net::kInfoNetClosed);
 }
 
 }  // namespace

@@ -363,6 +363,202 @@ TEST(ServeAdmissionTest, ShutdownConcurrentWithSubmitsNeverStrandsJobs) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// multi-job admission (Server::submit_many)
+
+/// A type-erased double gesv unit over a test matrix pair.
+serve::detail::Unit gesv_unit(Matrix<double>& a, Matrix<double>& b) {
+  serve::detail::Unit u;
+  u.routine = serve::Routine::gesv;
+  u.dtype = serve::Dtype::d;
+  u.a = a.data();
+  u.am = a.rows();
+  u.an = a.cols();
+  u.lda = a.ld();
+  u.b = b.data();
+  u.bm = b.rows();
+  u.bn = b.cols();
+  u.ldb = b.ld();
+  return u;
+}
+
+/// Completion-hook context: counts the calls and keeps the last result.
+struct Seen {
+  std::atomic<int> calls{0};
+  JobResult r;
+  static void on_done(void* ctx, const JobResult& r) {
+    auto* s = static_cast<Seen*>(ctx);
+    s->r = r;
+    s->calls.fetch_add(1, std::memory_order_release);
+  }
+  [[nodiscard]] int count() const {
+    return calls.load(std::memory_order_acquire);
+  }
+};
+
+TEST(ServeAdmissionTest, BatchCrossingQueueDepthRejectsOnlyTheJobsPastIt) {
+  const idx n = 5;
+  constexpr std::size_t kJobs = 8, kDepth = 5;
+  // Nothing flushes on its own (10 s deadline, wide batches), so the
+  // admission state after the call is exactly what the batch did to it.
+  Server srv(serve::Config{.queue_depth = kDepth, .flush_us = 10'000'000,
+                           .batch_max = 64});
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kJobs, n, 1, 5101, as, bs);
+  const std::vector<Matrix<double>> a0 = as, b0 = bs;
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ASSERT_EQ(lapack::gesv(n, idx{1}, ra[i].data(), ra[i].ld(), piv.data(),
+                           rb[i].data(), rb[i].ld()),
+              0);
+  }
+  std::vector<serve::detail::Unit> units;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    units.push_back(gesv_unit(as[i], bs[i]));
+  }
+  std::vector<Seen> seen(kJobs);
+  std::vector<std::future<JobResult>> futs(kJobs);
+  std::vector<serve::Submission> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    // Half the jobs also take a future: both completion routes at once.
+    jobs.push_back({&units[i], 1, &Seen::on_done, &seen[i],
+                    i % 2 == 0 ? &futs[i] : nullptr});
+  }
+  srv.submit_many(jobs);
+  // The jobs past the bound are rejected before the call returns, once
+  // each, with their operands untouched.
+  for (std::size_t i = kDepth; i < kJobs; ++i) {
+    EXPECT_EQ(seen[i].count(), 1) << "job " << i;
+    EXPECT_EQ(seen[i].r.info, kInfoRejected) << "job " << i;
+    EXPECT_EQ(seen[i].r.entries, 1) << "job " << i;
+    EXPECT_EQ(max_diff(a0[i], as[i]), 0.0) << "job " << i;
+    EXPECT_EQ(max_diff(b0[i], bs[i]), 0.0) << "job " << i;
+  }
+  EXPECT_EQ(srv.stats().rejected_jobs, kJobs - kDepth);
+  srv.shutdown();  // drains the admitted ones
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(seen[i].count(), 1) << "job " << i;
+    if (futs[i].valid()) {
+      EXPECT_EQ(futs[i].get().info, seen[i].r.info) << "job " << i;
+    }
+  }
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    EXPECT_EQ(seen[i].r.info, 0) << "job " << i;
+    EXPECT_EQ(max_diff(ra[i], as[i]), 0.0) << "job " << i;
+    EXPECT_EQ(max_diff(rb[i], bs[i]), 0.0) << "job " << i;
+  }
+  const serve::Stats s = srv.stats();
+  EXPECT_EQ(s.submitted_jobs, kJobs);
+  EXPECT_EQ(s.completed_jobs, kDepth);
+}
+
+TEST(ServeAdmissionTest, ZeroEntryJobInsideBatchCompletesWithInfoZero) {
+  const idx n = 4;
+  Server srv(serve::Config{.flush_us = 50});
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(2, n, 1, 5202, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(lapack::gesv(n, idx{1}, ra[i].data(), ra[i].ld(), piv.data(),
+                           rb[i].data(), rb[i].ld()),
+              0);
+  }
+  serve::detail::Unit u0 = gesv_unit(as[0], bs[0]);
+  serve::detail::Unit u1 = gesv_unit(as[1], bs[1]);
+  std::vector<Seen> seen(3);
+  std::future<JobResult> empty_fut;
+  std::vector<serve::Submission> jobs = {
+      {&u0, 1, &Seen::on_done, &seen[0], nullptr},
+      {nullptr, 0, &Seen::on_done, &seen[1], &empty_fut},
+      {&u1, 1, &Seen::on_done, &seen[2], nullptr}};
+  srv.submit_many(jobs);
+  // The empty job completes on the submitting thread.
+  EXPECT_EQ(seen[1].count(), 1);
+  EXPECT_EQ(seen[1].r.info, 0);
+  EXPECT_EQ(seen[1].r.entries, 0);
+  ASSERT_TRUE(empty_fut.valid());
+  EXPECT_EQ(empty_fut.get().info, 0);
+  srv.wait_idle();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Seen& s = seen[i == 0 ? 0 : 2];
+    EXPECT_EQ(s.count(), 1) << "job " << i;
+    EXPECT_EQ(s.r.info, 0) << "job " << i;
+    EXPECT_EQ(max_diff(ra[i], as[i]), 0.0) << "job " << i;
+    EXPECT_EQ(max_diff(rb[i], bs[i]), 0.0) << "job " << i;
+  }
+  EXPECT_EQ(seen[1].count(), 1);
+  const serve::Stats st = srv.stats();
+  EXPECT_EQ(st.submitted_jobs, 3u);
+  EXPECT_EQ(st.completed_jobs, 3u);
+}
+
+TEST(ServeAdmissionTest, BatchesRacingShutdownCompleteEveryJobOnce) {
+  // Several threads admit whole batches while shutdown() runs: each job
+  // is served or rejected, its hook fires exactly once, a served job is
+  // bit-identical to the direct driver, and wait_idle() returns.
+  const idx n = 4;
+  constexpr int kRounds = 32;
+  constexpr std::size_t kThreads = 4, kBatches = 4, kPerBatch = 8;
+  constexpr std::size_t kJobs = kThreads * kBatches * kPerBatch;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kJobs, n, 1, 5303, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ASSERT_EQ(lapack::gesv(n, idx{1}, ra[i].data(), ra[i].ld(), piv.data(),
+                           rb[i].data(), rb[i].ld()),
+              0);
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Matrix<double>> wa = as, wb = bs;
+    std::vector<Seen> seen(kJobs);
+    Server srv(serve::Config{.flush_us = 50});
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t b = 0; b < kBatches; ++b) {
+          std::vector<serve::detail::Unit> units;
+          std::vector<serve::Submission> jobs;
+          const std::size_t first = (t * kBatches + b) * kPerBatch;
+          for (std::size_t j = 0; j < kPerBatch; ++j) {
+            units.push_back(gesv_unit(wa[first + j], wb[first + j]));
+          }
+          for (std::size_t j = 0; j < kPerBatch; ++j) {
+            jobs.push_back(
+                {&units[j], 1, &Seen::on_done, &seen[first + j], nullptr});
+          }
+          srv.submit_many(jobs);
+        }
+      });
+    }
+    while (srv.stats().submitted_jobs == 0) {
+      std::this_thread::yield();
+    }
+    srv.shutdown();  // races the batches still being admitted
+    for (auto& th : threads) {
+      th.join();
+    }
+    srv.wait_idle();
+    idx served = 0;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      ASSERT_EQ(seen[i].count(), 1) << "job " << i << " round " << round;
+      const idx info = seen[i].r.info;
+      ASSERT_TRUE(info == 0 || info == kInfoRejected) << info;
+      if (info == 0) {
+        ++served;
+        EXPECT_EQ(max_diff(ra[i], wa[i]), 0.0) << "job " << i;
+        EXPECT_EQ(max_diff(rb[i], wb[i]), 0.0) << "job " << i;
+      }
+    }
+    const serve::Stats s = srv.stats();
+    EXPECT_EQ(s.submitted_jobs, kJobs);
+    EXPECT_EQ(s.completed_jobs, static_cast<std::uint64_t>(served));
+    EXPECT_EQ(s.rejected_jobs, kJobs - static_cast<std::uint64_t>(served));
+  }
+}
+
 TEST(ServeFlushTest, DeadlineFlushCompletesLonelyJobs) {
   const idx n = 6;
   Server srv(serve::Config{.queue_depth = 0, .flush_us = 2000,

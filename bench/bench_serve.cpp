@@ -7,7 +7,8 @@
 //     dispatch overhead over many units; the per-job arm (batch_max = 1)
 //     pays it per unit. This pair is the coalescing win the roadmap tracks.
 //   Poisson — open-loop exponential inter-arrivals at a fixed offered
-//     rate, the regime where the ServeFlushUs deadline bounds tail latency.
+//     rate, the regime where the dispatcher idles between arrivals and
+//     each job is flushed with whatever arrived alongside it.
 //   windowed — closed loop: C client threads each keep W jobs in flight,
 //     straight into a serve::Server (transport 0) or through a loopback
 //     net::Listener (transport 1), with client-observed latency. The
@@ -20,7 +21,7 @@
 //
 // `bench_serve --smoke` is the ctest self-check: served results on a tiny
 // mixed trace bit-identical to the direct driver loop, net results
-// bit-identical to in-process ones, a lonely job completed by the deadline
+// bit-identical to in-process ones, a lonely job completed by a partial
 // flush within a bounded wait, and coalescing not materially slower than
 // per-job execution. `bench_serve --net-smoke` runs only the net check.
 #include <benchmark/benchmark.h>
@@ -208,12 +209,8 @@ void bench_open_loop(benchmark::State& state, la::serve::Config cfg,
 /// Saturated mixed traffic; Arg0 = jobs per trace, Arg1 = batch_max
 /// (1 = per-job execution, 0 = the ilaenv default width).
 void BM_DServeSaturated(benchmark::State& state) {
-  // flush_us = 1 (not 0 = the 200 us ilaenv default): in throughput mode a
-  // partial group should flush as soon as the dispatcher sees it idle, so
-  // the tail of the trace measures work, not deadline stalls.
-  bench_open_loop(
-      state, {.flush_us = 1, .batch_max = static_cast<idx>(state.range(1))},
-      0.0);
+  bench_open_loop(state, {.batch_max = static_cast<idx>(state.range(1))},
+                  0.0);
 }
 BENCHMARK(BM_DServeSaturated)
     ->Args({2048, 0})   // coalesced at the default width
@@ -412,7 +409,7 @@ int run_net_smoke() {
 
 /// --smoke: served results bit-identical to the direct driver loop on a
 /// mixed trace, net results bit-identical to the in-process ones, a lonely
-/// job completes via the deadline flush within a bounded wait, and
+/// job completes via a partial flush within a bounded wait, and
 /// coalescing does not lose materially to per-job.
 int run_smoke() {
   Trace tr;
@@ -434,73 +431,84 @@ int run_smoke() {
   }
   const NetCheck net = check_net(tr);
 
-  // A lonely job on a quiet server: only the ServeFlushUs deadline can
-  // flush it. Bounded-wait check (generous: 1000x the 2 ms deadline).
-  bool deadline_ok = false;
+  // A lonely job on a quiet server, far below the batch width: it must
+  // complete as a partial flush the moment the queue runs dry. Bounded
+  // wait, generous for a loaded host.
+  bool lonely_ok = false;
   double lonely_ms = 0.0;
   {
-    la::serve::Server srv(la::serve::Config{
-        .queue_depth = 0, .flush_us = 2000, .batch_max = 1 << 19});
+    la::serve::Server srv(
+        la::serve::Config{.queue_depth = 0, .batch_max = 1 << 19});
     tr.restore();
     const auto t0 = clk::now();
     auto fut = tr.submit(srv, 0);
-    deadline_ok =
+    lonely_ok =
         fut.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
     const std::chrono::duration<double, std::milli> dt = clk::now() - t0;
     lonely_ms = dt.count();
-    if (deadline_ok) {
-      deadline_ok = fut.get().info == 0 && srv.stats().flush_deadline >= 1;
+    if (lonely_ok) {
+      lonely_ok = fut.get().info == 0 && srv.stats().flush_deadline >= 1;
     }
   }
 
-  // Coalesced vs per-job wall time on the same saturated trace (best of
-  // three; generous bound — the throughput claim proper lives in the
-  // timed benchmarks and EXPERIMENTS.md).
-  const auto best_of = [&](la::serve::Server& srv, int reps) {
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
+  // Coalesced vs per-job wall time on the same saturated trace: the median
+  // of kRounds rounds per arm, the arms alternating (and taking turns to
+  // go first) so a burst of load from other processes lands on both.
+  // Generous bound — the throughput claim proper lives in the timed
+  // benchmarks and EXPERIMENTS.md.
+  constexpr int kRounds = 15;
+  std::vector<double> coal_s, perjob_s;
+  double width = 0.0;
+  {
+    la::serve::Server coal(
+        la::serve::Config{.queue_depth = 2 * tr.count, .batch_max = 0});
+    la::serve::Server perjob(
+        la::serve::Config{.queue_depth = 2 * tr.count, .batch_max = 1});
+    const auto timed = [&](la::serve::Server& srv, std::vector<double>& out) {
       const auto t0 = clk::now();
       run_trace(srv, tr, 0.0);
-      const std::chrono::duration<double> dt = clk::now() - t0;
-      best = std::min(best, dt.count());
+      out.push_back(std::chrono::duration<double>(clk::now() - t0).count());
+    };
+    for (int r = 0; r < kRounds; ++r) {
+      if (r % 2 == 0) {
+        timed(coal, coal_s);
+        timed(perjob, perjob_s);
+      } else {
+        timed(perjob, perjob_s);
+        timed(coal, coal_s);
+      }
     }
-    return best;
+    width = coal.stats().mean_batch_entries();
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
   };
-  double t_coal = 0.0, t_perjob = 0.0, width = 0.0;
-  {
-    la::serve::Server srv(la::serve::Config{
-        .queue_depth = 2 * tr.count, .flush_us = 1, .batch_max = 0});
-    t_coal = best_of(srv, 3);
-    width = srv.stats().mean_batch_entries();
-  }
-  {
-    la::serve::Server srv(la::serve::Config{
-        .queue_depth = 2 * tr.count, .flush_us = 1, .batch_max = 1});
-    t_perjob = best_of(srv, 3);
-  }
+  const double t_coal = median(coal_s);
+  const double t_perjob = median(perjob_s);
   // With a real worker pool the coalesced arm must hold its own (the wide
   // flush is what feeds the pool). On a single-hardware-thread host both
   // arms do the same serial arithmetic and the wide flush only adds
   // working-set, so the bound is a loose pathology guard (e.g. it still
-  // catches partial groups stalling on the flush deadline, a >10x miss).
+  // catches a dispatcher that stalls partial groups, a >10x miss).
   const double bound = la::hardware_threads() > 1 ? 1.2 : 4.0;
   const bool fast_enough = t_coal <= t_perjob * bound;
 
   const bool ok =
-      identical && failed == 0 && net.ok() && deadline_ok && fast_enough;
+      identical && failed == 0 && net.ok() && lonely_ok && fast_enough;
   std::printf(
       "bench_serve --smoke (backend=%s, %lld mixed jobs of n=%lld): "
       "bit-identical=%s, failed=%lld, net bit-identical=%s (rejected "
-      "%lld, failed %lld), lonely-job %.2f ms (deadline flush %s), "
-      "coalesced %.3f ms (width %.1f) vs per-job %.3f ms, ratio %.2fx "
-      "(bound %.1fx) -> %s\n",
+      "%lld, failed %lld), lonely-job %.2f ms (partial flush %s), "
+      "coalesced %.3f ms (width %.1f) vs per-job %.3f ms, medians of %d, "
+      "ratio %.2fx (bound %.1fx) -> %s\n",
       la::thread_backend_name(), static_cast<long long>(tr.count),
       static_cast<long long>(tr.n), identical ? "yes" : "no",
       static_cast<long long>(failed), net.identical ? "yes" : "no",
       static_cast<long long>(net.tally.rejected),
       static_cast<long long>(net.tally.failed), lonely_ms,
-      deadline_ok ? "ok" : "HUNG",
-      t_coal * 1e3, width, t_perjob * 1e3, t_perjob / t_coal, bound,
+      lonely_ok ? "ok" : "HUNG",
+      t_coal * 1e3, width, t_perjob * 1e3, kRounds, t_perjob / t_coal, bound,
       ok ? "OK" : "FAIL");
   return ok ? 0 : 1;
 }

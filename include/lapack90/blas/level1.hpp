@@ -200,7 +200,7 @@ void scal(idx n, A alpha, T* x, idx incx) noexcept {
     return;
   }
   for (idx i = 0; i < n; ++i) {
-    x[i * incx] = T(alpha * x[i * incx]);
+    x[off(i, incx)] = T(alpha * x[off(i, incx)]);
   }
 }
 
@@ -223,7 +223,7 @@ void axpy(idx n, T alpha, const T* x, idx incx, T* y, idx incy) noexcept {
     return;
   }
   for (idx i = 0; i < n; ++i) {
-    yb[i * incy] += alpha * xb[i * incx];
+    yb[off(i, incy)] += alpha * xb[off(i, incx)];
   }
 }
 
@@ -236,7 +236,7 @@ void copy(idx n, const T* x, idx incx, T* y, idx incy) noexcept {
   const T* xb = detail::stride_base(x, n, incx);
   T* yb = detail::stride_base(y, n, incy);
   for (idx i = 0; i < n; ++i) {
-    yb[i * incy] = xb[i * incx];
+    yb[off(i, incy)] = xb[off(i, incx)];
   }
 }
 
@@ -249,7 +249,7 @@ void swap(idx n, T* x, idx incx, T* y, idx incy) noexcept {
   T* xb = detail::stride_base(x, n, incx);
   T* yb = detail::stride_base(y, n, incy);
   for (idx i = 0; i < n; ++i) {
-    std::swap(xb[i * incx], yb[i * incy]);
+    std::swap(xb[off(i, incx)], yb[off(i, incy)]);
   }
 }
 
@@ -269,7 +269,7 @@ template <Scalar T>
   const T* xb = detail::stride_base(x, n, incx);
   const T* yb = detail::stride_base(y, n, incy);
   for (idx i = 0; i < n; ++i) {
-    s += xb[i * incx] * yb[i * incy];
+    s += xb[off(i, incx)] * yb[off(i, incy)];
   }
   return s;
 }
@@ -290,7 +290,7 @@ template <Scalar T>
   const T* xb = detail::stride_base(x, n, incx);
   const T* yb = detail::stride_base(y, n, incy);
   for (idx i = 0; i < n; ++i) {
-    s += conj_if(xb[i * incx]) * yb[i * incy];
+    s += conj_if(xb[off(i, incx)]) * yb[off(i, incy)];
   }
   return s;
 }
@@ -317,7 +317,7 @@ template <Scalar T>
     return s;
   }
   for (idx i = 0; i < n; ++i) {
-    s += abs1(x[i * incx]);
+    s += abs1(x[off(i, incx)]);
   }
   return s;
 }
@@ -332,7 +332,7 @@ template <Scalar T>
   idx best = 0;
   real_t<T> best_val = abs1(x[0]);
   for (idx i = 1; i < n; ++i) {
-    const real_t<T> v = abs1(x[i * incx]);
+    const real_t<T> v = abs1(x[off(i, incx)]);
     if (v > best_val) {
       best = i;
       best_val = v;
@@ -384,10 +384,10 @@ void rot(idx n, T* x, idx incx, T* y, idx incy, real_t<T> c,
   T* xb = detail::stride_base(x, n, incx);
   T* yb = detail::stride_base(y, n, incy);
   for (idx i = 0; i < n; ++i) {
-    const T xi = xb[i * incx];
-    const T yi = yb[i * incy];
-    xb[i * incx] = c * xi + s * yi;
-    yb[i * incy] = c * yi - s * xi;
+    const T xi = xb[off(i, incx)];
+    const T yi = yb[off(i, incy)];
+    xb[off(i, incx)] = c * xi + s * yi;
+    yb[off(i, incy)] = c * yi - s * xi;
   }
 }
 

@@ -53,14 +53,11 @@ enum class EnvSpec : int {
                          ///< la::serve::Server before submissions are
                          ///< rejected with INFO = kInfoRejected (extension;
                          ///< LAPACK90_SERVE_QUEUE)
-  ServeFlushUs = 12,   ///< serving subsystem coalescing deadline in
-                       ///< microseconds: a pending coalesce group is flushed
-                       ///< to the batch drivers once its oldest entry has
-                       ///< waited this long, bounding latency under light
-                       ///< load (extension; LAPACK90_SERVE_FLUSH_US)
-  ServeBatchMax = 13,  ///< serving subsystem coalescing width: a group is
-                       ///< flushed as soon as it holds this many entries;
-                       ///< 1 disables coalescing (per-job execution)
+  ServeBatchMax = 12,  ///< serving subsystem coalescing width: a group is
+                       ///< flushed as soon as it holds this many entries,
+                       ///< and partial groups flush whenever the queue
+                       ///< runs dry, so no unit waits on a timer; 1
+                       ///< disables coalescing (per-job execution)
                        ///< (extension; LAPACK90_SERVE_BATCH)
 };
 
@@ -81,7 +78,9 @@ enum class EnvRoutine : int {
 
 /// Extent of the (spec, routine) table: specs are 1-based ISPEC values;
 /// the unused ISPEC 2 keeps its row and is never a valid slot.
-inline constexpr int kEnvSpecCount = 13;
+inline constexpr int kEnvSpecCount = 12;
+static_assert(kEnvSpecCount == static_cast<int>(EnvSpec::ServeBatchMax),
+              "the last ISPEC value sizes the table");
 inline constexpr int kEnvRoutineCount = static_cast<int>(EnvRoutine::count_);
 
 namespace detail {

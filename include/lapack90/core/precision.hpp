@@ -261,7 +261,7 @@ void lassq(idx n, const T* x, idx incx, real_t<T>& scale,
     }
   };
   for (idx i = 0; i < n; ++i) {
-    const T& xi = x[i * incx];
+    const T& xi = x[off(i, incx)];
     if constexpr (is_complex_v<T>) {
       absorb(xi.real());
       absorb(xi.imag());

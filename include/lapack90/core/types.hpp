@@ -9,6 +9,7 @@
 
 #include <complex>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -18,6 +19,15 @@ namespace la {
 /// that with a 32-bit signed index (documented limitation: dimensions must
 /// fit in int, i.e. < 2^31).
 using idx = std::int32_t;
+
+/// Offset of element i of a vector with stride (or leading dimension) inc,
+/// formed in std::ptrdiff_t. The idx product i * inc is signed overflow,
+/// which is undefined, once a strided vector spans 2^31 elements, and the
+/// optimizer reshapes loops on that assumption; the wide product is exact
+/// for every in-range i and the same value below 2^31.
+[[nodiscard]] constexpr std::ptrdiff_t off(idx i, idx inc) noexcept {
+  return static_cast<std::ptrdiff_t>(i) * inc;
+}
 
 /// One shared codegen for kernels whose results must be bitwise identical
 /// across call sites. When a small kernel is inlined into two different

@@ -60,7 +60,7 @@ template <Scalar T>
 void lacgv(idx n, T* x, idx incx) noexcept {
   if constexpr (is_complex_v<T>) {
     for (idx i = 0; i < n; ++i) {
-      x[i * incx] = std::conj(x[i * incx]);
+      x[off(i, incx)] = std::conj(x[off(i, incx)]);
     }
   } else {
     (void)n;

@@ -12,14 +12,16 @@
 //                span of jobs under one take of each mutex and wakes the
 //                dispatcher once, so a front end that decodes many jobs at
 //                a time pays the locking and the wake-up once per batch.
-//   coalescing — units are bucketed by (routine, dtype, uplo/trans).
-//                A bucket flushes when it reaches ServeBatchMax entries,
-//                when its oldest entry has waited ServeFlushUs
-//                microseconds (the latency bound under light load), or at
-//                drain/shutdown. Entries at or above the BatchGrain
-//                threshold skip coalescing entirely and flush solo — the
-//                batch layer would run them serial-outer anyway, and
-//                holding a large solve back only adds latency.
+//   coalescing — each wake of the dispatcher takes the whole queue and
+//                buckets its units by (routine, dtype, uplo/trans). A
+//                bucket flushes when it reaches ServeBatchMax entries, and
+//                every bucket left partial flushes before the dispatcher
+//                waits again: no timer holds a unit back, so a lone job
+//                pays no coalescing delay, and under load the jobs that
+//                queue up while one flush runs share the next. Entries at
+//                or above the BatchGrain threshold skip coalescing
+//                entirely and flush solo — the batch layer would run them
+//                serial-outer anyway.
 //   execution  — each flush is one la::batch ragged-descriptor driver
 //                call issued from the dispatcher thread, so the PR-1
 //                worker pool parallelizes *inside* the batch call and is
@@ -34,9 +36,8 @@
 // serving layer adds scheduling, never different arithmetic.
 //
 // Knobs resolve through ilaenv at construction: EnvSpec::ServeQueueDepth
-// (LAPACK90_SERVE_QUEUE), ServeFlushUs (LAPACK90_SERVE_FLUSH_US),
-// ServeBatchMax (LAPACK90_SERVE_BATCH); a nonzero Config field beats the
-// environment for that server instance.
+// (LAPACK90_SERVE_QUEUE) and ServeBatchMax (LAPACK90_SERVE_BATCH); a
+// nonzero Config field beats the environment for that server instance.
 #pragma once
 
 #include <algorithm>
@@ -59,7 +60,6 @@ namespace la::serve {
 /// set_env_override > builtin).
 struct Config {
   idx queue_depth = 0;  ///< max in-flight entries (ServeQueueDepth)
-  idx flush_us = 0;     ///< coalescing deadline, microseconds (ServeFlushUs)
   idx batch_max = 0;    ///< max entries per coalesced flush (ServeBatchMax)
 };
 

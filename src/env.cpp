@@ -67,7 +67,6 @@ idx env_spec_max(EnvSpec spec) noexcept {
     case EnvSpec::BatchGrain:
     case EnvSpec::IterRefineMaxIter:
     case EnvSpec::IterRefineCutoff:
-    case EnvSpec::ServeFlushUs:
       return idx{1} << 28;
   }
   return idx{1} << 28;
@@ -89,8 +88,6 @@ const char* env_knob_name(EnvSpec spec) noexcept {
       return "LAPACK90_IR_CUTOFF";
     case EnvSpec::ServeQueueDepth:
       return "LAPACK90_SERVE_QUEUE";
-    case EnvSpec::ServeFlushUs:
-      return "LAPACK90_SERVE_FLUSH_US";
     case EnvSpec::ServeBatchMax:
       return "LAPACK90_SERVE_BATCH";
     case EnvSpec::BlockSize:
@@ -167,12 +164,10 @@ constexpr idx kBatchGrainDefault = 256;
 constexpr idx kIrMaxIterDefault = 30;
 constexpr idx kIrCutoffDefault = 64;
 // Serving defaults: 4096 in-flight entries bounds a server's memory and
-// tail latency without starving the load generator's saturation runs; a
-// 200 us flush deadline caps the coalescer's added latency at roughly the
-// cost of one mid-sized solve; 64 entries per coalesced batch is past the
-// point where per-flush overhead is fully amortized for tiny problems.
+// tail latency without starving the load generator's saturation runs; 64
+// entries per coalesced batch is past the point where per-flush overhead
+// is fully amortized for tiny problems.
 constexpr idx kServeQueueDefault = 4096;
-constexpr idx kServeFlushUsDefault = 200;
 constexpr idx kServeBatchMaxDefault = 64;
 
 idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
@@ -198,8 +193,6 @@ idx builtin_value(EnvSpec spec, EnvRoutine routine) noexcept {
       return kIrCutoffDefault;
     case EnvSpec::ServeQueueDepth:
       return kServeQueueDefault;
-    case EnvSpec::ServeFlushUs:
-      return kServeFlushUsDefault;
     case EnvSpec::ServeBatchMax:
       return kServeBatchMaxDefault;
   }

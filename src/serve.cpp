@@ -7,10 +7,10 @@
 // call, however many jobs it carries) and, when they took a future, the
 // per-job promise. The dispatcher is the sole executor: it pops
 // everything available, routes units into dtype/routine-keyed coalesce
-// groups, and issues one la::batch driver call per flush. The batch call
-// fans its entries out across the PR-1 worker pool internally
-// (small-entry regime) or runs serial-outer with the threaded Level-3
-// inside (large entries). There is
+// groups, and flushes every group before it waits again, one la::batch
+// driver call per flush. The batch call fans its entries out across the
+// library's worker pool internally (small-entry regime) or runs
+// serial-outer with the threaded Level-3 inside (large entries). There is
 // exactly one team at a time, so serving never oversubscribes the kernel
 // threads. Because a job's completion block is only ever updated from
 // the dispatcher, its counters are relaxed atomics for the cross-thread
@@ -25,10 +25,8 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -48,8 +46,6 @@ using detail::JobShared;
 using detail::Unit;
 using u64 = std::uint64_t;
 
-enum class FlushCause { full, deadline, drain };
-
 /// Lock-free mirror of the Stats snapshot; updated from the dispatcher
 /// (and the submission path for the admission counters).
 struct StatsBlock {
@@ -63,7 +59,6 @@ struct StatsBlock {
   std::atomic<u64> coalesced_entries{0};
   std::atomic<u64> flush_full{0};
   std::atomic<u64> flush_deadline{0};
-  std::atomic<u64> flush_drain{0};
   std::atomic<u64> max_latency_ns{0};
   std::array<std::atomic<u64>, kLatencyBuckets> latency_hist{};
   std::array<std::atomic<u64>, kLatencyBuckets> queue_hist{};
@@ -98,7 +93,6 @@ struct StatsBlock {
     s.coalesced_entries = coalesced_entries.load(std::memory_order_relaxed);
     s.flush_full = flush_full.load(std::memory_order_relaxed);
     s.flush_deadline = flush_deadline.load(std::memory_order_relaxed);
-    s.flush_drain = flush_drain.load(std::memory_order_relaxed);
     s.max_latency_ns = max_latency_ns.load(std::memory_order_relaxed);
     for (int b = 0; b < kLatencyBuckets; ++b) {
       s.latency_hist[static_cast<std::size_t>(b)] =
@@ -122,7 +116,6 @@ struct StatsBlock {
     coalesced_entries.store(0, std::memory_order_relaxed);
     flush_full.store(0, std::memory_order_relaxed);
     flush_deadline.store(0, std::memory_order_relaxed);
-    flush_drain.store(0, std::memory_order_relaxed);
     max_latency_ns.store(0, std::memory_order_relaxed);
     for (auto& c : latency_hist) {
       c.store(0, std::memory_order_relaxed);
@@ -140,7 +133,6 @@ struct Group {
   Uplo uplo = Uplo::Lower;
   Trans trans = Trans::NoTrans;
   std::vector<Unit> units;
-  clock::time_point oldest{};
 };
 
 /// Executor-local descriptor arrays, reused across flushes so the steady
@@ -178,53 +170,25 @@ struct Server::Engine {
   bool draining = false;  // shutdown reached the queue (guarded by mu)
   StatsBlock stats;
   std::vector<Group> groups;
-  idx pending = 0;  // units parked in groups
   std::thread dispatcher;
 
   // -- dispatcher --------------------------------------------------------
-
-  [[nodiscard]] clock::time_point nearest_deadline() const noexcept {
-    clock::time_point oldest = clock::time_point::max();
-    for (const Group& g : groups) {
-      if (!g.units.empty() && g.oldest < oldest) {
-        oldest = g.oldest;
-      }
-    }
-    if (oldest == clock::time_point::max()) {
-      return oldest;  // only called with pending > 0, but stay defensive
-    }
-    return oldest + std::chrono::microseconds(cfg.flush_us);
-  }
 
   void loop() {
     std::vector<Unit> local;
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
+      cv_work.wait(lk, [&] { return draining || !queue.empty(); });
       if (queue.empty()) {
-        if (pending == 0) {
-          if (draining) {
-            break;
-          }
-          cv_work.wait(lk, [&] { return draining || !queue.empty(); });
-          if (draining && queue.empty()) {
-            break;
-          }
-        } else {
-          // Units are coalescing: sleep at most until the oldest group's
-          // flush deadline, so tail latency stays bounded under light
-          // load.
-          cv_work.wait_until(lk, nearest_deadline(),
-                             [&] { return draining || !queue.empty(); });
-        }
+        break;  // draining, and everything admitted has been served
       }
       local.clear();
       while (!queue.empty()) {
         local.push_back(std::move(queue.front()));
         queue.pop_front();
       }
-      const bool drain_all = draining;
       lk.unlock();
-      route_and_flush(local, drain_all);
+      route_and_flush(local);
       lk.lock();
     }
   }
@@ -245,10 +209,12 @@ struct Server::Engine {
     return groups.back();
   }
 
-  /// Route freshly popped units into groups, flushing on width, deadline,
-  /// or drain. Returns the number of units completed (= flushed).
-  idx route_and_flush(std::vector<Unit>& local, bool drain_all) {
-    idx done = 0;
+  /// Route freshly popped units into groups and flush them all: a group
+  /// flushes as soon as it holds batch_max units, and whatever partial
+  /// groups remain flush once every popped unit is routed. Nothing waits
+  /// for later arrivals, so coalescing comes only from the units that
+  /// queued up while the previous flush ran.
+  void route_and_flush(std::vector<Unit>& local) {
     const idx grain = batch::batch_grain();
     for (Unit& u : local) {
       const idx maxdim = std::max({u.am, u.an, u.bm, u.bn});
@@ -262,37 +228,25 @@ struct Server::Engine {
         solo.uplo = u.uplo;
         solo.trans = u.trans;
         solo.units.push_back(std::move(u));
-        done += flush(solo, FlushCause::full, /*grouped=*/false);
+        flush(solo, /*full=*/true);
         continue;
       }
       Group& g = group_for(u);
-      if (g.units.empty()) {
-        g.oldest = clock::now();
-      }
       g.units.push_back(std::move(u));
-      ++pending;
       if (static_cast<idx>(g.units.size()) >= cfg.batch_max) {
-        done += flush(g, FlushCause::full, /*grouped=*/true);
+        flush(g, /*full=*/true);
       }
     }
-    if (pending > 0) {
-      const auto now = clock::now();
-      const auto deadline = std::chrono::microseconds(cfg.flush_us);
-      for (Group& g : groups) {
-        if (g.units.empty()) {
-          continue;
-        }
-        if (drain_all) {
-          done += flush(g, FlushCause::drain, /*grouped=*/true);
-        } else if (now - g.oldest >= deadline) {
-          done += flush(g, FlushCause::deadline, /*grouped=*/true);
-        }
+    for (Group& g : groups) {
+      if (!g.units.empty()) {
+        flush(g, /*full=*/false);
       }
     }
-    return done;
   }
 
-  idx flush(Group& g, FlushCause cause, bool grouped) {
+  /// One batched driver call over the group's units; `full` says whether
+  /// it reached batch_max (or is a solo large unit) or the queue ran dry.
+  void flush(Group& g, bool full) {
     const idx cnt = static_cast<idx>(g.units.size());
     // Record the flush before executing it: flush_typed fulfils the last
     // job's promise, and a client returning from future.get() must
@@ -303,17 +257,8 @@ struct Server::Engine {
       stats.coalesced_entries.fetch_add(static_cast<u64>(cnt),
                                         std::memory_order_relaxed);
     }
-    switch (cause) {
-      case FlushCause::full:
-        stats.flush_full.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case FlushCause::deadline:
-        stats.flush_deadline.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case FlushCause::drain:
-        stats.flush_drain.fetch_add(1, std::memory_order_relaxed);
-        break;
-    }
+    (full ? stats.flush_full : stats.flush_deadline)
+        .fetch_add(1, std::memory_order_relaxed);
     switch (g.dt) {
       case Dtype::s:
         flush_typed<float>(g);
@@ -330,11 +275,6 @@ struct Server::Engine {
       case Dtype::count_:
         break;
     }
-    // Solo flushes of large units never incremented the pending count;
-    // grouped flushes give theirs back.
-    if (grouped) {
-      pending -= cnt;
-    }
     g.units.clear();
     // Release the admission slots flush-by-flush rather than once per
     // dispatcher wake-up: every promise this flush fulfilled was set
@@ -342,7 +282,6 @@ struct Server::Engine {
     // lags the admission counter by at most one flush width, not a whole
     // backlog.
     release_in_flight(cnt);
-    return cnt;
   }
 
   template <class T>
@@ -486,7 +425,6 @@ struct Server::Engine {
     };
     Config r;
     r.queue_depth = knob(c.queue_depth, EnvSpec::ServeQueueDepth);
-    r.flush_us = knob(c.flush_us, EnvSpec::ServeFlushUs);
     r.batch_max = knob(c.batch_max, EnvSpec::ServeBatchMax);
     return r;
   }

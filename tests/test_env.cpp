@@ -95,11 +95,10 @@ TEST(EnvIterRefineTest, DefaultsAndOverrides) {
 }
 
 TEST(EnvServeTest, DefaultsAndOverrides) {
-  // Serving knobs (LAPACK90_SERVE_QUEUE / _FLUSH_US / _BATCH): reference
+  // Serving knobs (LAPACK90_SERVE_QUEUE / _BATCH): reference
   // defaults unless the process env says otherwise (the test environment
   // sets none), overridable like every other ilaenv entry.
   EXPECT_EQ(ilaenv(EnvSpec::ServeQueueDepth, EnvRoutine::gemm, 0), 4096);
-  EXPECT_EQ(ilaenv(EnvSpec::ServeFlushUs, EnvRoutine::gemm, 0), 200);
   EXPECT_EQ(ilaenv(EnvSpec::ServeBatchMax, EnvRoutine::gemm, 0), 64);
   const idx prev =
       set_env_override(EnvSpec::ServeBatchMax, EnvRoutine::gemm, 8);
@@ -111,12 +110,9 @@ TEST(EnvServeTest, DefaultsAndOverrides) {
 TEST(EnvServeTest, KnobNamesAndCaps) {
   EXPECT_STREQ(detail::env_knob_name(EnvSpec::ServeQueueDepth),
                "LAPACK90_SERVE_QUEUE");
-  EXPECT_STREQ(detail::env_knob_name(EnvSpec::ServeFlushUs),
-               "LAPACK90_SERVE_FLUSH_US");
   EXPECT_STREQ(detail::env_knob_name(EnvSpec::ServeBatchMax),
                "LAPACK90_SERVE_BATCH");
   EXPECT_EQ(detail::env_spec_max(EnvSpec::ServeQueueDepth), idx{1} << 20);
-  EXPECT_EQ(detail::env_spec_max(EnvSpec::ServeFlushUs), idx{1} << 28);
   EXPECT_EQ(detail::env_spec_max(EnvSpec::ServeBatchMax), idx{1} << 20);
   // An out-of-range override is rejected, keeping the current setting.
   set_env_override(EnvSpec::ServeBatchMax, EnvRoutine::gemm,
@@ -151,7 +147,6 @@ TEST(EnvServeTest, MalformedEnvironmentFallsBack) {
     EXPECT_EQ(ilaenv(spec, EnvRoutine::gemm, 0), builtin) << name;
   };
   check("LAPACK90_SERVE_QUEUE", EnvSpec::ServeQueueDepth, 4096);
-  check("LAPACK90_SERVE_FLUSH_US", EnvSpec::ServeFlushUs, 200);
   check("LAPACK90_SERVE_BATCH", EnvSpec::ServeBatchMax, 64);
 }
 

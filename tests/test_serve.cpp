@@ -2,15 +2,18 @@
 // executor contract — every served result is bit-identical to the
 // corresponding direct la::lapack driver call, per-entry INFO aggregates
 // by the batch rule (first failing entry), a full queue rejects with
-// kInfoRejected instead of blocking, and the flush deadline bounds the
-// latency of lonely jobs. Sizes stay below the blocking crossover so the
-// direct drivers take the same unblocked arithmetic path as the batch
-// executor (the regime test_batch.cpp pins down).
+// kInfoRejected instead of blocking, and the dispatcher is work-conserving:
+// partial groups flush as soon as the queue runs dry, so a lonely job never
+// waits for company, and the jobs that queue up behind one flush share the
+// next. Sizes stay below the blocking crossover so the direct drivers take
+// the same unblocked arithmetic path as the batch executor (the regime
+// test_batch.cpp pins down).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <span>
 #include <thread>
 #include <vector>
@@ -61,6 +64,86 @@ void build_gesv_problems(idx count, idx n, idx nrhs, int salt,
     bs.push_back(random_matrix<T>(n, nrhs, seed));
   }
 }
+
+/// A type-erased gesv unit over a test matrix pair.
+template <Scalar T>
+serve::detail::Unit gesv_unit(Matrix<T>& a, Matrix<T>& b) {
+  serve::detail::Unit u;
+  u.routine = serve::Routine::gesv;
+  u.dtype = serve::dtype_of<T>();
+  u.a = a.data();
+  u.am = a.rows();
+  u.an = a.cols();
+  u.lda = a.ld();
+  u.b = b.data();
+  u.bm = b.rows();
+  u.bn = b.cols();
+  u.ldb = b.ld();
+  return u;
+}
+
+/// Completion-hook context: counts the calls and keeps the last result.
+struct Seen {
+  std::atomic<int> calls{0};
+  JobResult r;
+  static void on_done(void* ctx, const JobResult& r) {
+    auto* s = static_cast<Seen*>(ctx);
+    s->r = r;
+    s->calls.fetch_add(1, std::memory_order_release);
+  }
+  [[nodiscard]] int count() const {
+    return calls.load(std::memory_order_acquire);
+  }
+};
+
+/// Holds a server's dispatcher shut: a one-entry job whose completion hook
+/// runs on the dispatcher (inside the flush that served it) and blocks
+/// there until open(). The gate keeps its admission slot until that flush
+/// ends, so while it is shut nothing behind it is flushed and no slot is
+/// freed: admission state is exactly what the test did to it. Open the
+/// gate before shutdown(), which joins the dispatcher. The destructor opens
+/// it too and then waits until the server is idle, so the hook has left the
+/// latch before it is destroyed; declare the gate after its server.
+class Gate {
+ public:
+  explicit Gate(Server& srv) : srv_(srv) {
+    a_(0, 0) = 1.0;
+    b_(0, 0) = 1.0;
+    unit_ = gesv_unit(a_, b_);
+    serve::Submission job{&unit_, 1, &Gate::hold, this, nullptr};
+    srv.submit_many({&job, 1});
+    held_.wait();
+  }
+  Gate(const Gate&) = delete;
+  Gate& operator=(const Gate&) = delete;
+  ~Gate() {
+    open();
+    srv_.wait_idle();
+  }
+
+  void open() {
+    if (!opened_) {
+      opened_ = true;
+      release_.count_down();
+    }
+  }
+
+ private:
+  static void hold(void* ctx, const JobResult& r) {
+    auto* g = static_cast<Gate*>(ctx);
+    EXPECT_EQ(r.info, 0) << "the gate job was not served";
+    g->held_.count_down();
+    if (r.info == 0) {  // a rejection runs here on the test thread
+      g->release_.wait();
+    }
+  }
+
+  Server& srv_;
+  Matrix<double> a_{1, 1}, b_{1, 1};
+  serve::detail::Unit unit_;
+  std::latch held_{1}, release_{1};
+  bool opened_ = false;
+};
 
 template <class T>
 class ServeTest : public ::testing::Test {};
@@ -175,32 +258,49 @@ TYPED_TEST(ServeTest, BatchSubmissionMatchesDirectLoop) {
 
 TYPED_TEST(ServeTest, LargeEntrySkipsCoalescingAndStaysIdentical) {
   using T = TypeParam;
-  // Grain 4 classifies the n=8 solve as large: solo immediate flush.
+  // Grain 4 classifies the n=8 solve as large (solo flush) and the n=2
+  // solve as small (coalesced).
   const idx prev = set_env_override(EnvSpec::BatchGrain, EnvRoutine::gemm, 4);
-  const idx n = 8, nrhs = 2;
+  const idx nrhs = 2;
   std::vector<Matrix<T>> as, bs;
-  build_gesv_problems<T>(1, n, nrhs, 3606, as, bs);
-  Matrix<T> ra = as[0], rb = bs[0];
-  std::vector<idx> piv(n);
-  ASSERT_EQ(lapack::gesv(n, nrhs, ra.data(), ra.ld(), piv.data(), rb.data(),
-                         rb.ld()),
-            0);
+  build_gesv_problems<T>(1, 2, nrhs, 3607, as, bs);
+  build_gesv_problems<T>(1, 8, nrhs, 3606, as, bs);
+  std::vector<Matrix<T>> ra = as, rb = bs;
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    const idx n = as[i].rows();
+    std::vector<idx> piv(n);
+    ASSERT_EQ(lapack::gesv(n, nrhs, ra[i].data(), ra[i].ld(), piv.data(),
+                           rb[i].data(), rb[i].ld()),
+              0);
+  }
   {
-    // A long deadline would park a coalesced unit; the large unit must not
-    // wait for it.
-    Server srv(serve::Config{.queue_depth = 0, .flush_us = 10'000'000,
-                             .batch_max = 0});
-    const JobResult r = srv.gesv(n, nrhs, as[0].data(), as[0].ld(),
-                                 bs[0].data(), bs[0].ld())
-                            .get();
-    EXPECT_EQ(r.info, 0);
+    Server srv(serve::Config{.queue_depth = 0, .batch_max = 0});
+    std::vector<std::future<JobResult>> futs;
+    serve::Stats before;
+    {
+      // Both solves queue behind the gate and reach the dispatcher in one
+      // wake, same routine and dtype: only the grain rule keeps the large
+      // one out of the small one's group.
+      Gate gate(srv);
+      before = srv.stats();
+      for (std::size_t i = 0; i < as.size(); ++i) {
+        futs.push_back(srv.gesv(as[i].rows(), nrhs, as[i].data(), as[i].ld(),
+                                bs[i].data(), bs[i].ld()));
+      }
+    }
+    for (auto& f : futs) {
+      const JobResult r = f.get();
+      EXPECT_EQ(r.info, 0);
+      EXPECT_EQ(r.batches, 1);
+    }
     const serve::Stats s = srv.stats();
-    EXPECT_EQ(s.flush_full, 1u);
-    EXPECT_EQ(s.coalesced_entries, 0u);
+    EXPECT_EQ(s.batches - before.batches, 2u);
+    EXPECT_EQ(s.flush_full - before.flush_full, 1u);  // the large one, solo
+    EXPECT_EQ(s.coalesced_entries - before.coalesced_entries, 0u);
   }
   set_env_override(EnvSpec::BatchGrain, EnvRoutine::gemm, prev);
-  EXPECT_EQ(max_diff(ra, as[0]), real_t<T>(0));
-  EXPECT_EQ(max_diff(rb, bs[0]), real_t<T>(0));
+  expect_identical(ra, as);
+  expect_identical(rb, bs);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,11 +354,11 @@ TYPED_TEST(ServeTest, AllocInjectionPropagatesMinus100) {
 
 TEST(ServeAdmissionTest, FullQueueRejectsWithInfoRejected) {
   const idx n = 5;
-  // Parked jobs cannot flush on their own: the deadline is 10 s and the
-  // width bound far away — admission state is deterministic.
-  Server srv(serve::Config{.queue_depth = 4, .flush_us = 10'000'000,
-                           .batch_max = 64});
-  ASSERT_EQ(srv.config().queue_depth, 4);
+  Server srv(serve::Config{.queue_depth = 5, .batch_max = 64});
+  ASSERT_EQ(srv.config().queue_depth, 5);
+  // The gate holds one slot and the dispatcher, so the four jobs behind it
+  // stay admitted and unserved: admission state is deterministic.
+  Gate gate(srv);
   std::vector<Matrix<double>> as, bs;
   build_gesv_problems<double>(5, n, 1, 3909, as, bs);
   std::vector<Matrix<double>> ra = as, rb = bs;
@@ -282,15 +382,16 @@ TEST(ServeAdmissionTest, FullQueueRejectsWithInfoRejected) {
   EXPECT_EQ(rej.info, kInfoRejected);
   EXPECT_EQ(max_diff(a4, as[4]), 0.0);
   EXPECT_EQ(srv.stats().rejected_jobs, 1u);
-  srv.shutdown();  // drains the parked four
+  gate.open();
+  srv.shutdown();  // drains the four queued behind the gate
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(futs[i].get().info, 0) << "job " << i;
     EXPECT_EQ(max_diff(ra[i], as[i]), 0.0) << "job " << i;
     EXPECT_EQ(max_diff(rb[i], bs[i]), 0.0) << "job " << i;
   }
   const serve::Stats s = srv.stats();
-  EXPECT_EQ(s.completed_jobs, 4u);
-  EXPECT_GE(s.flush_drain, 1u);
+  EXPECT_EQ(s.completed_jobs, 5u);  // the gate and the four
+  EXPECT_EQ(s.flush_deadline, 2u);  // the gate's flush, then the four's
 }
 
 TEST(ServeAdmissionTest, ShutdownRejectsNewSubmissions) {
@@ -320,7 +421,7 @@ TEST(ServeAdmissionTest, ShutdownConcurrentWithSubmitsNeverStrandsJobs) {
   build_gesv_problems<double>(kThreads * kJobs, n, 1, 4242, as, bs);
   for (int round = 0; round < kRounds; ++round) {
     std::vector<Matrix<double>> wa = as, wb = bs;
-    Server srv(serve::Config{.flush_us = 50});
+    Server srv;
     std::vector<std::vector<std::future<JobResult>>> futs(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -366,43 +467,14 @@ TEST(ServeAdmissionTest, ShutdownConcurrentWithSubmitsNeverStrandsJobs) {
 // ---------------------------------------------------------------------------
 // multi-job admission (Server::submit_many)
 
-/// A type-erased double gesv unit over a test matrix pair.
-serve::detail::Unit gesv_unit(Matrix<double>& a, Matrix<double>& b) {
-  serve::detail::Unit u;
-  u.routine = serve::Routine::gesv;
-  u.dtype = serve::Dtype::d;
-  u.a = a.data();
-  u.am = a.rows();
-  u.an = a.cols();
-  u.lda = a.ld();
-  u.b = b.data();
-  u.bm = b.rows();
-  u.bn = b.cols();
-  u.ldb = b.ld();
-  return u;
-}
-
-/// Completion-hook context: counts the calls and keeps the last result.
-struct Seen {
-  std::atomic<int> calls{0};
-  JobResult r;
-  static void on_done(void* ctx, const JobResult& r) {
-    auto* s = static_cast<Seen*>(ctx);
-    s->r = r;
-    s->calls.fetch_add(1, std::memory_order_release);
-  }
-  [[nodiscard]] int count() const {
-    return calls.load(std::memory_order_acquire);
-  }
-};
-
 TEST(ServeAdmissionTest, BatchCrossingQueueDepthRejectsOnlyTheJobsPastIt) {
   const idx n = 5;
   constexpr std::size_t kJobs = 8, kDepth = 5;
-  // Nothing flushes on its own (10 s deadline, wide batches), so the
-  // admission state after the call is exactly what the batch did to it.
-  Server srv(serve::Config{.queue_depth = kDepth, .flush_us = 10'000'000,
-                           .batch_max = 64});
+  // The gate takes one slot and holds the dispatcher, so kDepth slots are
+  // left and the admission state after the call is exactly what the batch
+  // did to it.
+  Server srv(serve::Config{.queue_depth = kDepth + 1, .batch_max = 64});
+  Gate gate(srv);
   std::vector<Matrix<double>> as, bs;
   build_gesv_problems<double>(kJobs, n, 1, 5101, as, bs);
   const std::vector<Matrix<double>> a0 = as, b0 = bs;
@@ -436,6 +508,7 @@ TEST(ServeAdmissionTest, BatchCrossingQueueDepthRejectsOnlyTheJobsPastIt) {
     EXPECT_EQ(max_diff(b0[i], bs[i]), 0.0) << "job " << i;
   }
   EXPECT_EQ(srv.stats().rejected_jobs, kJobs - kDepth);
+  gate.open();
   srv.shutdown();  // drains the admitted ones
   for (std::size_t i = 0; i < kJobs; ++i) {
     EXPECT_EQ(seen[i].count(), 1) << "job " << i;
@@ -449,13 +522,13 @@ TEST(ServeAdmissionTest, BatchCrossingQueueDepthRejectsOnlyTheJobsPastIt) {
     EXPECT_EQ(max_diff(rb[i], bs[i]), 0.0) << "job " << i;
   }
   const serve::Stats s = srv.stats();
-  EXPECT_EQ(s.submitted_jobs, kJobs);
-  EXPECT_EQ(s.completed_jobs, kDepth);
+  EXPECT_EQ(s.submitted_jobs, kJobs + 1);  // the gate's job too
+  EXPECT_EQ(s.completed_jobs, kDepth + 1);
 }
 
 TEST(ServeAdmissionTest, ZeroEntryJobInsideBatchCompletesWithInfoZero) {
   const idx n = 4;
-  Server srv(serve::Config{.flush_us = 50});
+  Server srv;
   std::vector<Matrix<double>> as, bs;
   build_gesv_problems<double>(2, n, 1, 5202, as, bs);
   std::vector<Matrix<double>> ra = as, rb = bs;
@@ -514,7 +587,7 @@ TEST(ServeAdmissionTest, BatchesRacingShutdownCompleteEveryJobOnce) {
   for (int round = 0; round < kRounds; ++round) {
     std::vector<Matrix<double>> wa = as, wb = bs;
     std::vector<Seen> seen(kJobs);
-    Server srv(serve::Config{.flush_us = 50});
+    Server srv;
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
@@ -559,10 +632,12 @@ TEST(ServeAdmissionTest, BatchesRacingShutdownCompleteEveryJobOnce) {
   }
 }
 
-TEST(ServeFlushTest, DeadlineFlushCompletesLonelyJobs) {
+TEST(ServeFlushTest, PartialGroupsFlushWhenTheQueueRunsDry) {
+  // Three jobs far below the batch width: nothing will ever fill their
+  // group, so each completes in a partial flush once the dispatcher has
+  // emptied its queue.
   const idx n = 6;
-  Server srv(serve::Config{.queue_depth = 0, .flush_us = 2000,
-                           .batch_max = 1024});
+  Server srv(serve::Config{.queue_depth = 0, .batch_max = 1024});
   std::vector<Matrix<double>> as, bs;
   build_gesv_problems<double>(3, n, 1, 4010, as, bs);
   std::vector<std::future<JobResult>> futs;
@@ -580,6 +655,46 @@ TEST(ServeFlushTest, DeadlineFlushCompletesLonelyJobs) {
   const serve::Stats s = srv.stats();
   EXPECT_EQ(s.completed_jobs, 3u);
   EXPECT_GE(s.flush_deadline, 1u);
+  EXPECT_EQ(s.flush_full, 0u);
+}
+
+TEST(ServeFlushTest, JobsQueuedBehindAFlushShareTheNextFlush) {
+  // While the gate's flush runs, k single-entry jobs queue up behind it.
+  // When it ends, the dispatcher takes them in one wake and serves them as
+  // one coalesced batch call, bit-identical to the direct driver.
+  constexpr std::size_t kJobs = 6;
+  const idx n = 5;
+  std::vector<Matrix<double>> as, bs;
+  build_gesv_problems<double>(kJobs, n, 1, 4060, as, bs);
+  std::vector<Matrix<double>> ra = as, rb = bs;
+  std::vector<idx> piv(n);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ASSERT_EQ(lapack::gesv(n, idx{1}, ra[i].data(), ra[i].ld(), piv.data(),
+                           rb[i].data(), rb[i].ld()),
+              0);
+  }
+  Server srv(serve::Config{.queue_depth = 0, .batch_max = 64});
+  std::vector<std::future<JobResult>> futs;
+  serve::Stats before;
+  {
+    Gate gate(srv);
+    before = srv.stats();
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      futs.push_back(srv.gesv(n, idx{1}, as[i].data(), as[i].ld(),
+                              bs[i].data(), bs[i].ld()));
+    }
+  }
+  for (auto& f : futs) {
+    const JobResult r = f.get();
+    EXPECT_EQ(r.info, 0);
+    EXPECT_EQ(r.batches, 1);
+  }
+  const serve::Stats s = srv.stats();
+  EXPECT_EQ(s.batches - before.batches, 1u);
+  EXPECT_EQ(s.coalesced_entries - before.coalesced_entries, kJobs);
+  EXPECT_EQ(s.flush_deadline - before.flush_deadline, 1u);  // partial
+  expect_identical(ra, as);
+  expect_identical(rb, bs);
 }
 
 TEST(ServeFlushTest, WidthFlushCoalescesIntoFullBatches) {
@@ -593,8 +708,7 @@ TEST(ServeFlushTest, WidthFlushCoalescesIntoFullBatches) {
                            rb[i].data(), rb[i].ld()),
               0);
   }
-  Server srv(serve::Config{.queue_depth = 0, .flush_us = 10'000'000,
-                           .batch_max = 4});
+  Server srv(serve::Config{.queue_depth = 0, .batch_max = 4});
   std::vector<double*> pa, pb;
   std::vector<idx> da, db;
   const JobResult r =
@@ -629,12 +743,9 @@ TEST(ServeConfigTest, ExplicitConfigBeatsEnvironment) {
   {
     Server env_srv;
     EXPECT_EQ(env_srv.config().queue_depth, 99);
-    Server cfg_srv(serve::Config{.queue_depth = 7, .flush_us = 0,
-                                 .batch_max = 0});
+    Server cfg_srv(serve::Config{.queue_depth = 7, .batch_max = 0});
     EXPECT_EQ(cfg_srv.config().queue_depth, 7);
     // Unset fields still resolve through ilaenv.
-    EXPECT_EQ(cfg_srv.config().flush_us,
-              ilaenv(EnvSpec::ServeFlushUs, EnvRoutine::gemm, 0));
     EXPECT_EQ(cfg_srv.config().batch_max,
               ilaenv(EnvSpec::ServeBatchMax, EnvRoutine::gemm, 0));
   }
@@ -706,7 +817,7 @@ TEST(ServeConcurrencyTest, ConcurrentSubmittersAllServedIdentically) {
 
 TEST(ServeConcurrencyTest, ConcurrentSubmittersMatchDirectGesv) {
   const idx kThreads = 4, kJobs = 12, n = 5;
-  Server srv(serve::Config{.queue_depth = 0, .flush_us = 0, .batch_max = 0});
+  Server srv(serve::Config{.queue_depth = 0, .batch_max = 0});
   std::vector<std::vector<Matrix<double>>> as(kThreads), bs(kThreads);
   std::vector<std::vector<Matrix<double>>> ra(kThreads), rb(kThreads);
   for (idx t = 0; t < kThreads; ++t) {

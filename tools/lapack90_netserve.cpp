@@ -4,7 +4,7 @@
 // a driving process learns where to connect — and the transport + compute
 // statistics on exit.
 //
-//   lapack90_netserve [--port P] [--queue N] [--batch N] [--flush-us N]
+//   lapack90_netserve [--port P] [--queue N] [--batch N]
 //
 // Every knob left off the command line falls back to its LAPACK90_*
 // environment variable (see net/listener.hpp and serve/server.hpp). Flag
@@ -22,8 +22,7 @@ namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--queue N] [--batch N] [--flush-us N]\n",
-               argv0);
+               "usage: %s [--port P] [--queue N] [--batch N]\n", argv0);
 }
 
 }  // namespace
@@ -42,8 +41,6 @@ int main(int argc, char** argv) {
       {"--queue", env_spec_max(EnvSpec::ServeQueueDepth),
        &cfg.serve.queue_depth},
       {"--batch", env_spec_max(EnvSpec::ServeBatchMax), &cfg.serve.batch_max},
-      {"--flush-us", env_spec_max(EnvSpec::ServeFlushUs),
-       &cfg.serve.flush_us},
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0) {

@@ -11,10 +11,11 @@
 //
 // `bench_batch --smoke` is a self-checking mode for ctest: it asserts the
 // batch path agrees bit-for-bit with the sequential driver loop, stays
-// bit-identical when the worker count changes, and is not materially
-// slower than the loop at one worker (generous slack — on a single-core
-// host batch and loop do the same serial work and the timing check is
-// close to a tautology).
+// bit-identical when the worker count changes, returns the direct
+// drivers' bits for a geqrf and a gels entry past geqrf's tile edge, and
+// is not materially slower than the loop at one worker (generous slack —
+// on a single-core host batch and loop do the same serial work and the
+// timing check is close to a tautology).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -205,9 +206,39 @@ BENCHMARK(BM_DGemmBatchTiny)->Args({4096, 8})->Args({4096, 16})
 BENCHMARK(BM_DGemmLoopTiny)->Args({4096, 8})->Args({4096, 16})
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+/// One geqrf and one gels entry whose min(m, n) passes geqrf's tile edge
+/// while max(m, n) stays below BatchGrain, so the entry fans out while the
+/// direct driver runs the tile DAG: true when the batch drivers return the
+/// direct drivers' bits.
+bool gap_shape_identical() {
+  using MB = la::batch::MatrixBatch<double>;
+  const idx m = 207, n = 200, nrhs = 2;
+  la::Iseed seed = la::default_iseed();
+  std::vector<double> a0(static_cast<std::size_t>(m) * n);
+  std::vector<double> b0(static_cast<std::size_t>(m) * nrhs);
+  la::larnv(la::Dist::Uniform11, seed, static_cast<idx>(a0.size()),
+            a0.data());
+  la::larnv(la::Dist::Uniform11, seed, static_cast<idx>(b0.size()),
+            b0.data());
+  std::vector<double> ra = a0, ba = a0, rtau(n), btau(n);
+  la::lapack::geqrf(m, n, ra.data(), m, rtau.data());
+  la::batch::geqrf_batch(MB::strided(ba.data(), m, n, m, m * n, 1),
+                         MB::strided(btau.data(), n, 1, n, n, 1));
+  const bool geqrf_same = ra == ba && rtau == btau;
+  ra = a0;
+  ba = a0;
+  std::vector<double> rb = b0, bb = b0;
+  la::lapack::gels(la::Trans::NoTrans, m, n, nrhs, ra.data(), m, rb.data(),
+                   m);
+  la::batch::gels_batch(la::Trans::NoTrans,
+                        MB::strided(ba.data(), m, n, m, m * n, 1),
+                        MB::strided(bb.data(), m, nrhs, m, m * nrhs, 1));
+  return geqrf_same && ra == ba && rb == bb;
+}
+
 /// --smoke: correctness (batch == sequential loop, bitwise; bit-identical
-/// across worker counts) plus a generous no-regression timing check at one
-/// worker.
+/// across worker counts; geqrf/gels entries == the direct drivers) plus a
+/// generous no-regression timing check at one worker.
 int run_smoke() {
   using clock = std::chrono::steady_clock;
   const idx count = 512, n = 16;
@@ -232,6 +263,7 @@ int run_smoke() {
   pool.run_batch();
   la::set_num_threads(0);
   const bool identical_threads = pool.b == ref_b && identical_loop;
+  const bool identical_gap = gap_shape_identical();
 
   auto best_of = [&](int reps, auto&& f) {
     double best = 1e300;
@@ -249,17 +281,20 @@ int run_smoke() {
   la::set_num_threads(0);
   const double t_loop = best_of(5, [&] { pool.run_loop(); });
   const bool fast_enough = t_batch <= t_loop * 1.5;
+  const bool ok =
+      identical_loop && identical_threads && identical_gap && fast_enough;
 
   std::printf(
       "bench_batch --smoke (backend=%s, %lld systems of n=%lld): batch "
       "%.3f ms, loop %.3f ms, ratio %.2fx, bit-identical(loop)=%s, "
-      "bit-identical(1-vs-4 workers)=%s -> %s\n",
+      "bit-identical(1-vs-4 workers)=%s, "
+      "bit-identical(geqrf/gels 207x200 vs direct)=%s -> %s\n",
       la::thread_backend_name(), static_cast<long long>(count),
       static_cast<long long>(n), t_batch * 1e3, t_loop * 1e3,
       t_loop / t_batch, identical_loop ? "yes" : "no",
-      identical_threads ? "yes" : "no",
-      identical_loop && identical_threads && fast_enough ? "OK" : "FAIL");
-  return identical_loop && identical_threads && fast_enough ? 0 : 1;
+      identical_threads ? "yes" : "no", identical_gap ? "yes" : "no",
+      ok ? "OK" : "FAIL");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

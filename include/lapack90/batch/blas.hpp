@@ -25,10 +25,14 @@
 #include "lapack90/blas/level3.hpp"
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/types.hpp"
+#include "lapack90/core/workspace.hpp"
 
 namespace la::batch {
 
 namespace detail {
+
+struct GemmEntryATag {};  // packed op(A) of one entry
+struct GemmEntryBTag {};  // packed op(B) of one entry
 
 /// One small product through the packed micro-kernel, no cache blocking:
 /// pack op(A) (m x k) and op(B) (k x n) whole into the per-worker strip
@@ -44,9 +48,9 @@ void gemm_entry_direct(Trans ta, Trans tb, idx m, idx n, idx k, T alpha,
   const idx nstrips = (n + B::NR - 1) / B::NR;
   // Strip s starts at s * k * MR (all strips before the last are full, the
   // last is packed unpadded), so the buffers are sized for rounded-up m/n.
-  T* const ap = blas::detail::pack_workspace_a<T>(
+  T* const ap = la::detail::work_buffer<T, GemmEntryATag>(
       static_cast<std::size_t>(mstrips) * B::MR * static_cast<std::size_t>(k));
-  T* const bp = blas::detail::pack_workspace_b<T>(
+  T* const bp = la::detail::work_buffer<T, GemmEntryBTag>(
       static_cast<std::size_t>(nstrips) * B::NR * static_cast<std::size_t>(k));
   blas::detail::pack_a(m, k, a, lda, ta, 0, 0, ap);
   blas::detail::pack_b(k, n, b, ldb, tb, 0, 0, bp);

@@ -1,13 +1,12 @@
 // lapack90/batch/descriptor.hpp
 //
 // Batch descriptors for the many-small-problem drivers (la::batch). A
-// MatrixBatch names `count` matrices without owning them, in any of the
-// three layouts batched BLAS interfaces have converged on:
+// MatrixBatch names `count` matrices without owning them, in one of two
+// layouts:
 //
 //   * strided  — one contiguous allocation, entry i at base + i*stride
 //                (uniform dimensions; the layout an inference stack's
 //                activation buffers already have);
-//   * pointers — an array of entry base pointers, uniform dimensions;
 //   * ragged   — an array of entry base pointers with per-entry
 //                dimension arrays (variable-size batches).
 //
@@ -22,13 +21,12 @@
 #include <cstddef>
 #include <span>
 
-#include "lapack90/core/matrix.hpp"
 #include "lapack90/core/types.hpp"
 
 namespace la::batch {
 
 /// Non-owning description of `count` matrices in one of the batched
-/// layouts (strided / pointer-array / ragged). See file comment.
+/// layouts (strided / ragged). See file comment.
 template <Scalar T>
 class MatrixBatch {
  public:
@@ -46,20 +44,6 @@ class MatrixBatch {
     MatrixBatch b;
     b.base_ = base;
     b.stride_ = stride;
-    b.rows_ = rows;
-    b.cols_ = cols;
-    b.ld_ = ld;
-    b.count_ = count;
-    return b;
-  }
-
-  /// Uniform batch behind an array of entry base pointers.
-  [[nodiscard]] static MatrixBatch pointers(T* const* ptrs, idx rows,
-                                            idx cols, idx ld,
-                                            idx count) noexcept {
-    assert(count >= 0 && rows >= 0 && cols >= 0 && ld >= std::max<idx>(rows, 1));
-    MatrixBatch b;
-    b.ptrs_ = ptrs;
     b.rows_ = rows;
     b.cols_ = cols;
     b.ld_ = ld;
@@ -87,7 +71,6 @@ class MatrixBatch {
   }
 
   [[nodiscard]] idx count() const noexcept { return count_; }
-  [[nodiscard]] bool uniform() const noexcept { return rows_v_ == nullptr; }
 
   [[nodiscard]] idx rows(idx i) const noexcept {
     assert(i >= 0 && i < count_);
@@ -114,11 +97,6 @@ class MatrixBatch {
                : base_ + static_cast<std::ptrdiff_t>(i) * stride_;
   }
 
-  /// Entry i as a view the F90-style layer understands.
-  [[nodiscard]] MatrixView<T> entry(idx i) const noexcept {
-    return MatrixView<T>(ptr(i), rows(i), cols(i), ld(i));
-  }
-
   /// Largest row / column count over the batch (O(1): precomputed for
   /// ragged batches). The scheduler's grain decision keys off these.
   [[nodiscard]] idx max_rows() const noexcept { return rows_; }
@@ -127,7 +105,7 @@ class MatrixBatch {
  private:
   T* base_ = nullptr;            // strided layout
   std::ptrdiff_t stride_ = 0;
-  T* const* ptrs_ = nullptr;     // pointer / ragged layouts
+  T* const* ptrs_ = nullptr;     // ragged layout
   const idx* rows_v_ = nullptr;  // ragged dimension arrays (else uniform)
   const idx* cols_v_ = nullptr;
   const idx* lds_v_ = nullptr;

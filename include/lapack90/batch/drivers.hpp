@@ -1,17 +1,22 @@
 // lapack90/batch/drivers.hpp
 //
 // Batched LAPACK drivers: solve/factor every entry of a MatrixBatch in one
-// call. Scheduling follows schedule.hpp (entries fan out across workers
-// below the BatchGrain threshold, run serial-outer with threaded Level-3
-// inside above it); each entry is computed by exactly one worker with
-// serial arithmetic, so results are bit-identical for every worker count.
+// call. The batch layer schedules and the library computes: entry i is
+// exactly the la::lapack driver call on that entry (gesv, potrf, posv,
+// geqrf, gels), so a batched result is bit-identical to the direct call
+// by construction. Scheduling follows schedule.hpp (entries fan out
+// across workers below the BatchGrain threshold, run serial-outer with
+// threaded Level-3 inside above it); each entry is computed by exactly
+// one worker with serial arithmetic, so results are bit-identical for
+// every worker count.
 //
-// Workspaces are per-worker and thread_local (the workspace-tag machinery
-// from the blocked reductions), so the steady-state batch loop performs no
-// heap allocation. Each entry makes exactly one pass through the
-// alloc_should_fail() injection hook before touching its workspace: an
-// injected failure marks that entry INFO = -100 and leaves its data
-// untouched, exactly like the F90 wrappers' ALLOCATE ... STAT path.
+// The drivers take their scratch from per-thread, grow-only buffers
+// (la::detail::work_buffer, core/workspace.hpp), so the steady-state
+// batch loop performs no heap allocation. Each entry that takes workspace
+// makes exactly one pass through the alloc_should_fail() injection hook
+// before the call: an injected failure marks that entry INFO = -100 and
+// leaves its data untouched, exactly like the F90 wrappers' ALLOCATE ...
+// STAT path.
 //
 // Error protocol: per-entry INFO in infos[i] (when infos != nullptr) with
 // the usual meanings (negative = bad entry shape, positive = numerical
@@ -23,12 +28,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <vector>
 
 #include "lapack90/batch/descriptor.hpp"
 #include "lapack90/batch/schedule.hpp"
 #include "lapack90/core/error.hpp"
 #include "lapack90/core/types.hpp"
+#include "lapack90/core/workspace.hpp"
 #include "lapack90/lapack/cholesky.hpp"
 #include "lapack90/lapack/lls.hpp"
 #include "lapack90/lapack/lu.hpp"
@@ -38,21 +43,7 @@ namespace la::batch {
 
 namespace detail {
 
-// Tags for the per-worker batch workspaces — distinct from every tag the
-// computational layer uses, so a batch worker delegating a large entry to
-// the blocked drivers never aliases its own buffers.
-struct WsBatchTauTag {};
-struct WsBatchWorkTag {};
-
-/// Per-worker pivot workspace (idx is not a Scalar, so the tagged
-/// work_buffer template does not apply). Never shrinks.
-[[nodiscard]] inline idx* pivot_buffer(idx n) {
-  thread_local std::vector<idx> buf;
-  if (static_cast<idx>(buf.size()) < n) {
-    buf.resize(static_cast<std::size_t>(n));
-  }
-  return buf.data();
-}
+struct WsBatchPivotTag {};  // per-worker pivots of gesv_batch
 
 /// Record entry `i` (0-based) as failed; keeps the smallest index so the
 /// aggregate INFO does not depend on worker interleaving.
@@ -105,7 +96,8 @@ idx gesv_batch(const MatrixBatch<T>& a, const MatrixBatch<T>& b,
     if (alloc_should_fail()) {
       return -100;
     }
-    idx* const piv = detail::pivot_buffer(n);
+    idx* const piv = la::detail::work_buffer<idx, detail::WsBatchPivotTag>(
+        static_cast<std::size_t>(n));
     return lapack::gesv(n, b.cols(i), a.ptr(i), a.ld(i), piv, b.ptr(i),
                         b.ld(i));
   });
@@ -147,18 +139,15 @@ idx posv_batch(Uplo uplo, const MatrixBatch<T>& a, const MatrixBatch<T>& b,
   });
 }
 
-/// Batched QR factorization (xGEQRF): A_i = Q_i R_i, reflectors below the
-/// diagonal, scalars in tau entry i (length >= min(rows, cols); build the
-/// tau batch with MatrixBatch factories over k x 1 entries). Entries below
-/// the BatchGrain threshold run the unblocked geqr2 against the per-worker
-/// workspace (allocation-free); larger ones take the blocked geqrf. Entry
-/// INFO: -2 tau entry too short, -100 workspace.
+/// Batched QR factorization (xGEQRF): entry i is lapack::geqrf on A_i,
+/// reflectors below the diagonal, scalars in tau entry i (length >=
+/// min(rows, cols); build the tau batch with MatrixBatch factories over
+/// k x 1 entries). Entry INFO: -2 tau entry too short, -100 workspace.
 template <Scalar T>
 idx geqrf_batch(const MatrixBatch<T>& a, const MatrixBatch<T>& tau,
                 idx* infos = nullptr) {
   assert(a.count() == tau.count());
   const idx maxdim = std::max(a.max_rows(), a.max_cols());
-  const idx grain = batch_grain();
   return detail::run(a.count(), maxdim, infos, [&](idx i) -> idx {
     const idx m = a.rows(i);
     const idx n = a.cols(i);
@@ -169,36 +158,23 @@ idx geqrf_batch(const MatrixBatch<T>& a, const MatrixBatch<T>& tau,
     if (k == 0) {
       return 0;
     }
-    if (std::max(m, n) < grain) {
-      if (alloc_should_fail()) {
-        return -100;
-      }
-      T* const work = lapack::detail::work_buffer<T, detail::WsBatchWorkTag>(
-          static_cast<std::size_t>(n));
-      lapack::geqr2(m, n, a.ptr(i), a.ld(i), tau.ptr(i), work);
-    } else {
-      // Propagate the library geqrf's INFO (0, or -100 from a failed
-      // tiled-workspace probe) into this entry's slot.
-      return lapack::geqrf(m, n, a.ptr(i), a.ld(i), tau.ptr(i));
+    if (alloc_should_fail()) {
+      return -100;
     }
-    return 0;
+    return lapack::geqrf(m, n, a.ptr(i), a.ld(i), tau.ptr(i));
   });
 }
 
-/// Batched least squares (xGELS): minimize ||A_i X_i - B_i|| (or the
-/// minimum-norm / transposed variants). B entry i is max(m, n) x nrhs:
-/// rows 0..m-1 hold the right-hand sides on entry, rows 0..n-1 the
-/// solution on exit (NoTrans). Small overdetermined NoTrans entries run an
-/// inlined geqr2 + Householder-apply + trtrs against per-worker workspaces
-/// (allocation-free, arithmetic-identical to the library gels on these
-/// shapes); everything else delegates to lapack::gels. Entry INFO: -2 B_i
-/// too short, -100 workspace, > 0 rank deficient.
+/// Batched least squares (xGELS): entry i is lapack::gels on (A_i, B_i),
+/// minimizing ||A_i X_i - B_i|| (or the minimum-norm / transposed
+/// variants). B entry i is max(m, n) x nrhs: rows 0..m-1 hold the
+/// right-hand sides on entry, rows 0..n-1 the solution on exit (NoTrans).
+/// Entry INFO: -2 B_i too short, -100 workspace, > 0 rank deficient.
 template <Scalar T>
 idx gels_batch(Trans trans, const MatrixBatch<T>& a, const MatrixBatch<T>& b,
                idx* infos = nullptr) {
   assert(a.count() == b.count());
   const idx maxdim = std::max({a.max_rows(), a.max_cols(), b.max_cols()});
-  const idx grain = batch_grain();
   return detail::run(a.count(), maxdim, infos, [&](idx i) -> idx {
     const idx m = a.rows(i);
     const idx n = a.cols(i);
@@ -206,39 +182,12 @@ idx gels_batch(Trans trans, const MatrixBatch<T>& a, const MatrixBatch<T>& b,
     if (b.rows(i) < std::max(m, n)) {
       return -2;
     }
-    T* const ai = a.ptr(i);
-    const idx lda = a.ld(i);
-    T* const bi = b.ptr(i);
-    const idx ldb = b.ld(i);
-    const bool fast = trans == Trans::NoTrans && m >= n &&
-                      std::max(m, n) < grain && std::min(m, n) > 0 &&
-                      nrhs > 0;
-    if (!fast) {
-      // Degenerate shapes return before lapack::gels allocates; the rest
-      // of this branch is the large-entry regime where the blocked path's
-      // internal allocation is off the hot loop.
-      return lapack::gels(trans, m, n, nrhs, ai, lda, bi, ldb);
-    }
-    if (alloc_should_fail()) {
+    // An empty system takes no workspace: gels only zeroes its B.
+    if (std::min(m, n) > 0 && nrhs > 0 && alloc_should_fail()) {
       return -100;
     }
-    T* const tau = lapack::detail::work_buffer<T, detail::WsBatchTauTag>(
-        static_cast<std::size_t>(n));
-    T* const work = lapack::detail::work_buffer<T, detail::WsBatchWorkTag>(
-        static_cast<std::size_t>(std::max(n, nrhs)));
-    lapack::geqr2(m, n, ai, lda, tau, work);
-    // B := Q^H B, reflectors applied in forward order exactly as ormqr
-    // does for Side::Left / ConjTrans.
-    for (idx j = 0; j < n; ++j) {
-      T* const col = ai + static_cast<std::size_t>(j) * lda;
-      const T ajj = col[j];
-      col[j] = T(1);
-      lapack::larf(Side::Left, m - j, nrhs, col + j, 1, conj_if(tau[j]),
-                   bi + j, ldb, work);
-      col[j] = ajj;
-    }
-    return lapack::trtrs(Uplo::Upper, Trans::NoTrans, Diag::NonUnit, n, nrhs,
-                         ai, lda, bi, ldb);
+    return lapack::gels(trans, m, n, nrhs, a.ptr(i), a.ld(i), b.ptr(i),
+                        b.ld(i));
   });
 }
 

@@ -19,13 +19,15 @@
 #include "lapack90/batch/drivers.hpp"
 #include "lapack90/batch/schedule.hpp"
 #include "lapack90/core/error.hpp"
+#include "lapack90/core/workspace.hpp"
 #include "lapack90/lapack/aux.hpp"
 #include "lapack90/mixed/drivers.hpp"
 
 namespace la::batch {
 
 namespace detail {
-struct WsBatchMixedXTag {};  // per-worker solution buffer for mixed_gesv
+struct WsBatchMixedPivotTag {};  // per-worker pivots for mixed_gesv
+struct WsBatchMixedXTag {};      // per-worker solution buffer for mixed_gesv
 }  // namespace detail
 
 /// Batched mixed-precision LU solve (the batch analog of la::mixed::gesv,
@@ -65,8 +67,10 @@ idx mixed_gesv_batch(const MatrixBatch<T>& a, const MatrixBatch<T>& b,
       return -100;
     }
     const idx nrhs = b.cols(i);
-    idx* const piv = detail::pivot_buffer(n);
-    T* const x = mixed::detail::work<T, detail::WsBatchMixedXTag>(
+    idx* const piv =
+        la::detail::work_buffer<idx, detail::WsBatchMixedPivotTag>(
+            static_cast<std::size_t>(n));
+    T* const x = la::detail::work_buffer<T, detail::WsBatchMixedXTag>(
         static_cast<std::size_t>(n) * nrhs);
     idx iter = 0;
     const idx linfo =

@@ -27,7 +27,7 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
   T* yb = detail::stride_base(y, leny, incy);
   if (beta != T(1)) {
     for (idx i = 0; i < leny; ++i) {
-      yb[i * incy] = beta == T(0) ? T(0) : beta * yb[i * incy];
+      yb[off(i, incy)] = beta == T(0) ? T(0) : beta * yb[off(i, incy)];
     }
   }
   if (lenx <= 0 || alpha == T(0)) {
@@ -42,10 +42,10 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
       // latrd/labrd/lahr2 panel kernels.
       idx j = 0;
       for (; j + 4 <= n; j += 4) {
-        const T t0 = alpha * xb[j * incx];
-        const T t1 = alpha * xb[(j + 1) * incx];
-        const T t2 = alpha * xb[(j + 2) * incx];
-        const T t3 = alpha * xb[(j + 3) * incx];
+        const T t0 = alpha * xb[off(j, incx)];
+        const T t1 = alpha * xb[off(j + 1, incx)];
+        const T t2 = alpha * xb[off(j + 2, incx)];
+        const T t3 = alpha * xb[off(j + 3, incx)];
         const T* c0 = a + static_cast<std::size_t>(j) * lda;
         const T* c1 = c0 + lda;
         const T* c2 = c1 + lda;
@@ -77,7 +77,7 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
         }
       }
       for (; j < n; ++j) {
-        const T t = alpha * xb[j * incx];
+        const T t = alpha * xb[off(j, incx)];
         if (t == T(0)) {
           continue;
         }
@@ -93,13 +93,13 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
     } else {
       // Strided y: accumulate column-by-column (unit-stride in A).
       for (idx j = 0; j < n; ++j) {
-        const T t = alpha * xb[j * incx];
+        const T t = alpha * xb[off(j, incx)];
         if (t == T(0)) {
           continue;
         }
         const T* col = a + static_cast<std::size_t>(j) * lda;
         for (idx i = 0; i < m; ++i) {
-          yb[i * incy] += t * col[i];
+          yb[off(i, incy)] += t * col[i];
         }
       }
     }
@@ -113,7 +113,7 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
         const T* col = a + static_cast<std::size_t>(j) * lda;
         if constexpr (!is_complex_v<T>) {
           // conj is a no-op on reals: one vectorized reduce serves both.
-          yb[j * incy] += alpha * detail::dot_contig(m, col, xb);
+          yb[off(j, incy)] += alpha * detail::dot_contig(m, col, xb);
           continue;
         }
         T s0(0), s1(0), s2(0), s3(0);
@@ -139,7 +139,7 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
             s0 += col[i] * xb[i];
           }
         }
-        yb[j * incy] += alpha * ((s0 + s1) + (s2 + s3));
+        yb[off(j, incy)] += alpha * ((s0 + s1) + (s2 + s3));
       }
     } else {
       for (idx j = 0; j < n; ++j) {
@@ -147,14 +147,14 @@ void gemv(Trans trans, idx m, idx n, T alpha, const T* a, idx lda, const T* x,
         T s(0);
         if (conj) {
           for (idx i = 0; i < m; ++i) {
-            s += conj_if(col[i]) * xb[i * incx];
+            s += conj_if(col[i]) * xb[off(i, incx)];
           }
         } else {
           for (idx i = 0; i < m; ++i) {
-            s += col[i] * xb[i * incx];
+            s += col[i] * xb[off(i, incx)];
           }
         }
-        yb[j * incy] += alpha * s;
+        yb[off(j, incy)] += alpha * s;
       }
     }
   }
@@ -170,7 +170,7 @@ void geru(idx m, idx n, T alpha, const T* x, idx incx, const T* y, idx incy,
   const T* xb = detail::stride_base(x, m, incx);
   const T* yb = detail::stride_base(y, n, incy);
   for (idx j = 0; j < n; ++j) {
-    const T t = alpha * yb[j * incy];
+    const T t = alpha * yb[off(j, incy)];
     if (t == T(0)) {
       continue;
     }
@@ -185,7 +185,7 @@ void geru(idx m, idx n, T alpha, const T* x, idx incx, const T* y, idx incy,
       }
     }
     for (idx i = 0; i < m; ++i) {
-      col[i] += xb[i * incx] * t;
+      col[i] += xb[off(i, incx)] * t;
     }
   }
 }
@@ -200,7 +200,7 @@ void gerc(idx m, idx n, T alpha, const T* x, idx incx, const T* y, idx incy,
   const T* xb = detail::stride_base(x, m, incx);
   const T* yb = detail::stride_base(y, n, incy);
   for (idx j = 0; j < n; ++j) {
-    const T t = alpha * conj_if(yb[j * incy]);
+    const T t = alpha * conj_if(yb[off(j, incy)]);
     if (t == T(0)) {
       continue;
     }
@@ -212,7 +212,7 @@ void gerc(idx m, idx n, T alpha, const T* x, idx incx, const T* y, idx incy,
       }
     }
     for (idx i = 0; i < m; ++i) {
-      col[i] += xb[i * incx] * t;
+      col[i] += xb[off(i, incx)] * t;
     }
   }
 }
@@ -239,7 +239,7 @@ void symv_impl(Uplo uplo, idx n, T alpha, const T* a, idx lda, const T* x,
   const T* xb = stride_base(x, n, incx);
   if (beta != T(1)) {
     for (idx i = 0; i < n; ++i) {
-      yb[i * incy] = beta == T(0) ? T(0) : beta * yb[i * incy];
+      yb[off(i, incy)] = beta == T(0) ? T(0) : beta * yb[off(i, incy)];
     }
   }
   if (alpha == T(0)) {
@@ -276,35 +276,35 @@ void symv_impl(Uplo uplo, idx n, T alpha, const T* a, idx lda, const T* x,
   if (uplo == Uplo::Upper) {
     for (idx j = 0; j < n; ++j) {
       const T* col = a + static_cast<std::size_t>(j) * lda;
-      const T t1 = alpha * xb[j * incx];
+      const T t1 = alpha * xb[off(j, incx)];
       T t2(0);
       if (unit) {
         t2 = fused_sweep(col, t1, yb, xb, j);
       } else {
         for (idx i = 0; i < j; ++i) {
-          yb[i * incy] += t1 * col[i];
-          t2 += cj(col[i]) * xb[i * incx];
+          yb[off(i, incy)] += t1 * col[i];
+          t2 += cj(col[i]) * xb[off(i, incx)];
         }
       }
       const T diag = Conj ? T(real_part(col[j])) : col[j];
-      yb[j * incy] += t1 * diag + alpha * t2;
+      yb[off(j, incy)] += t1 * diag + alpha * t2;
     }
   } else {
     for (idx j = 0; j < n; ++j) {
       const T* col = a + static_cast<std::size_t>(j) * lda;
-      const T t1 = alpha * xb[j * incx];
+      const T t1 = alpha * xb[off(j, incx)];
       T t2(0);
       const T diag = Conj ? T(real_part(col[j])) : col[j];
-      yb[j * incy] += t1 * diag;
+      yb[off(j, incy)] += t1 * diag;
       if (unit) {
         t2 = fused_sweep(col + j + 1, t1, yb + j + 1, xb + j + 1, n - j - 1);
       } else {
         for (idx i = j + 1; i < n; ++i) {
-          yb[i * incy] += t1 * col[i];
-          t2 += cj(col[i]) * xb[i * incx];
+          yb[off(i, incy)] += t1 * col[i];
+          t2 += cj(col[i]) * xb[off(i, incx)];
         }
       }
-      yb[j * incy] += alpha * t2;
+      yb[off(j, incy)] += alpha * t2;
     }
   }
 }
@@ -335,15 +335,15 @@ void syr(Uplo uplo, idx n, T alpha, const T* x, idx incx, T* a,
   }
   const T* xb = detail::stride_base(x, n, incx);
   for (idx j = 0; j < n; ++j) {
-    const T t = alpha * xb[j * incx];
+    const T t = alpha * xb[off(j, incx)];
     T* col = a + static_cast<std::size_t>(j) * lda;
     if (uplo == Uplo::Upper) {
       for (idx i = 0; i <= j; ++i) {
-        col[i] += xb[i * incx] * t;
+        col[i] += xb[off(i, incx)] * t;
       }
     } else {
       for (idx i = j; i < n; ++i) {
-        col[i] += xb[i * incx] * t;
+        col[i] += xb[off(i, incx)] * t;
       }
     }
   }
@@ -358,17 +358,19 @@ void her(Uplo uplo, idx n, real_t<T> alpha, const T* x, idx incx, T* a,
   }
   const T* xb = detail::stride_base(x, n, incx);
   for (idx j = 0; j < n; ++j) {
-    const T t = T(alpha) * conj_if(xb[j * incx]);
+    const T t = T(alpha) * conj_if(xb[off(j, incx)]);
     T* col = a + static_cast<std::size_t>(j) * lda;
     if (uplo == Uplo::Upper) {
       for (idx i = 0; i < j; ++i) {
-        col[i] += xb[i * incx] * t;
+        col[i] += xb[off(i, incx)] * t;
       }
-      col[j] = make_scalar<T>(real_part(col[j]) + real_part(xb[j * incx] * t));
+      col[j] = make_scalar<T>(real_part(col[j]) +
+                              real_part(xb[off(j, incx)] * t));
     } else {
-      col[j] = make_scalar<T>(real_part(col[j]) + real_part(xb[j * incx] * t));
+      col[j] = make_scalar<T>(real_part(col[j]) +
+                              real_part(xb[off(j, incx)] * t));
       for (idx i = j + 1; i < n; ++i) {
-        col[i] += xb[i * incx] * t;
+        col[i] += xb[off(i, incx)] * t;
       }
     }
   }
@@ -384,16 +386,16 @@ void syr2(Uplo uplo, idx n, T alpha, const T* x, idx incx, const T* y,
   const T* xb = detail::stride_base(x, n, incx);
   const T* yb = detail::stride_base(y, n, incy);
   for (idx j = 0; j < n; ++j) {
-    const T t1 = alpha * yb[j * incy];
-    const T t2 = alpha * xb[j * incx];
+    const T t1 = alpha * yb[off(j, incy)];
+    const T t2 = alpha * xb[off(j, incx)];
     T* col = a + static_cast<std::size_t>(j) * lda;
     if (uplo == Uplo::Upper) {
       for (idx i = 0; i <= j; ++i) {
-        col[i] += xb[i * incx] * t1 + yb[i * incy] * t2;
+        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
       }
     } else {
       for (idx i = j; i < n; ++i) {
-        col[i] += xb[i * incx] * t1 + yb[i * incy] * t2;
+        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
       }
     }
   }
@@ -409,22 +411,22 @@ void her2(Uplo uplo, idx n, T alpha, const T* x, idx incx, const T* y,
   const T* xb = detail::stride_base(x, n, incx);
   const T* yb = detail::stride_base(y, n, incy);
   for (idx j = 0; j < n; ++j) {
-    const T t1 = alpha * conj_if(yb[j * incy]);
-    const T t2 = conj_if(alpha * xb[j * incx]);
+    const T t1 = alpha * conj_if(yb[off(j, incy)]);
+    const T t2 = conj_if(alpha * xb[off(j, incx)]);
     T* col = a + static_cast<std::size_t>(j) * lda;
     if (uplo == Uplo::Upper) {
       for (idx i = 0; i < j; ++i) {
-        col[i] += xb[i * incx] * t1 + yb[i * incy] * t2;
+        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
       }
       col[j] = make_scalar<T>(
           real_part(col[j]) +
-          real_part(xb[j * incx] * t1 + yb[j * incy] * t2));
+          real_part(xb[off(j, incx)] * t1 + yb[off(j, incy)] * t2));
     } else {
       col[j] = make_scalar<T>(
           real_part(col[j]) +
-          real_part(xb[j * incx] * t1 + yb[j * incy] * t2));
+          real_part(xb[off(j, incx)] * t1 + yb[off(j, incy)] * t2));
       for (idx i = j + 1; i < n; ++i) {
-        col[i] += xb[i * incx] * t1 + yb[i * incy] * t2;
+        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
       }
     }
   }
@@ -443,30 +445,30 @@ void trmv(Uplo uplo, Trans trans, Diag diag, idx n, const T* a, idx lda, T* x,
   if (trans == Trans::NoTrans) {
     if (uplo == Uplo::Upper) {
       for (idx j = 0; j < n; ++j) {
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         if (t == T(0)) {
           continue;
         }
         const T* col = a + static_cast<std::size_t>(j) * lda;
         for (idx i = 0; i < j; ++i) {
-          xb[i * incx] += t * col[i];
+          xb[off(i, incx)] += t * col[i];
         }
         if (!unit) {
-          xb[j * incx] = t * col[j];
+          xb[off(j, incx)] = t * col[j];
         }
       }
     } else {
       for (idx j = n - 1; j >= 0; --j) {
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         if (t == T(0)) {
           continue;
         }
         const T* col = a + static_cast<std::size_t>(j) * lda;
         for (idx i = n - 1; i > j; --i) {
-          xb[i * incx] += t * col[i];
+          xb[off(i, incx)] += t * col[i];
         }
         if (!unit) {
-          xb[j * incx] = t * col[j];
+          xb[off(j, incx)] = t * col[j];
         }
       }
     }
@@ -475,20 +477,20 @@ void trmv(Uplo uplo, Trans trans, Diag diag, idx n, const T* a, idx lda, T* x,
     if (uplo == Uplo::Upper) {
       for (idx j = n - 1; j >= 0; --j) {
         const T* col = a + static_cast<std::size_t>(j) * lda;
-        T t = unit ? xb[j * incx] : cj(col[j]) * xb[j * incx];
+        T t = unit ? xb[off(j, incx)] : cj(col[j]) * xb[off(j, incx)];
         for (idx i = 0; i < j; ++i) {
-          t += cj(col[i]) * xb[i * incx];
+          t += cj(col[i]) * xb[off(i, incx)];
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     } else {
       for (idx j = 0; j < n; ++j) {
         const T* col = a + static_cast<std::size_t>(j) * lda;
-        T t = unit ? xb[j * incx] : cj(col[j]) * xb[j * incx];
+        T t = unit ? xb[off(j, incx)] : cj(col[j]) * xb[off(j, incx)];
         for (idx i = j + 1; i < n; ++i) {
-          t += cj(col[i]) * xb[i * incx];
+          t += cj(col[i]) * xb[off(i, incx)];
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     }
   }
@@ -514,9 +516,9 @@ LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
       for (idx j = n - 1; j >= 0; --j) {
         const T* col = a + static_cast<std::size_t>(j) * lda;
         if (!unit) {
-          xb[j * incx] /= col[j];
+          xb[off(j, incx)] /= col[j];
         }
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         if constexpr (!is_complex_v<T>) {
           if (incx == 1) {
             detail::axpy_contig(j, -t, col, xb);
@@ -524,16 +526,16 @@ LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
           }
         }
         for (idx i = 0; i < j; ++i) {
-          xb[i * incx] -= t * col[i];
+          xb[off(i, incx)] -= t * col[i];
         }
       }
     } else {
       for (idx j = 0; j < n; ++j) {
         const T* col = a + static_cast<std::size_t>(j) * lda;
         if (!unit) {
-          xb[j * incx] /= col[j];
+          xb[off(j, incx)] /= col[j];
         }
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         if constexpr (!is_complex_v<T>) {
           if (incx == 1) {
             detail::axpy_contig(n - j - 1, -t, col + j + 1, xb + j + 1);
@@ -541,7 +543,7 @@ LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
           }
         }
         for (idx i = j + 1; i < n; ++i) {
-          xb[i * incx] -= t * col[i];
+          xb[off(i, incx)] -= t * col[i];
         }
       }
     }
@@ -549,7 +551,7 @@ LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
     if (uplo == Uplo::Upper) {
       for (idx j = 0; j < n; ++j) {
         const T* col = a + static_cast<std::size_t>(j) * lda;
-        T t = xb[j * incx];
+        T t = xb[off(j, incx)];
         if constexpr (!is_complex_v<T>) {
           if (incx == 1 && !conj) {
             t -= detail::dot_contig(j, col, xb);
@@ -561,17 +563,17 @@ LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
           }
         }
         for (idx i = 0; i < j; ++i) {
-          t -= cj(col[i]) * xb[i * incx];
+          t -= cj(col[i]) * xb[off(i, incx)];
         }
         if (!unit) {
           t /= cj(col[j]);
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     } else {
       for (idx j = n - 1; j >= 0; --j) {
         const T* col = a + static_cast<std::size_t>(j) * lda;
-        T t = xb[j * incx];
+        T t = xb[off(j, incx)];
         if constexpr (!is_complex_v<T>) {
           if (incx == 1) {
             t -= detail::dot_contig(n - j - 1, col + j + 1, xb + j + 1);
@@ -583,12 +585,12 @@ LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
           }
         }
         for (idx i = j + 1; i < n; ++i) {
-          t -= cj(col[i]) * xb[i * incx];
+          t -= cj(col[i]) * xb[off(i, incx)];
         }
         if (!unit) {
           t /= cj(col[j]);
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     }
   }
@@ -608,7 +610,7 @@ void gbmv(Trans trans, idx m, idx n, idx kl, idx ku, T alpha, const T* ab,
   T* yb = detail::stride_base(y, leny, incy);
   if (beta != T(1)) {
     for (idx i = 0; i < leny; ++i) {
-      yb[i * incy] = beta == T(0) ? T(0) : beta * yb[i * incy];
+      yb[off(i, incy)] = beta == T(0) ? T(0) : beta * yb[off(i, incy)];
     }
   }
   if (lenx <= 0 || alpha == T(0)) {
@@ -622,19 +624,19 @@ void gbmv(Trans trans, idx m, idx n, idx kl, idx ku, T alpha, const T* ab,
     const idx lo = std::max<idx>(0, j - ku);
     const idx hi = std::min<idx>(m - 1, j + kl);
     if (trans == Trans::NoTrans) {
-      const T t = alpha * xb[j * incx];
+      const T t = alpha * xb[off(j, incx)];
       if (t == T(0)) {
         continue;
       }
       for (idx i = lo; i <= hi; ++i) {
-        yb[i * incy] += t * col[ku + i - j];
+        yb[off(i, incy)] += t * col[ku + i - j];
       }
     } else {
       T s(0);
       for (idx i = lo; i <= hi; ++i) {
-        s += cj(col[ku + i - j]) * xb[i * incx];
+        s += cj(col[ku + i - j]) * xb[off(i, incx)];
       }
-      yb[j * incy] += alpha * s;
+      yb[off(j, incy)] += alpha * s;
     }
   }
 }
@@ -651,7 +653,7 @@ void sbmv_impl(Uplo uplo, idx n, idx k, T alpha, const T* ab, idx ldab,
   const T* xb = stride_base(x, n, incx);
   if (beta != T(1)) {
     for (idx i = 0; i < n; ++i) {
-      yb[i * incy] = beta == T(0) ? T(0) : beta * yb[i * incy];
+      yb[off(i, incy)] = beta == T(0) ? T(0) : beta * yb[off(i, incy)];
     }
   }
   if (alpha == T(0)) {
@@ -660,25 +662,25 @@ void sbmv_impl(Uplo uplo, idx n, idx k, T alpha, const T* ab, idx ldab,
   auto cj = [](const T& v) { return Conj ? conj_if(v) : v; };
   for (idx j = 0; j < n; ++j) {
     const T* col = ab + static_cast<std::size_t>(j) * ldab;
-    const T t1 = alpha * xb[j * incx];
+    const T t1 = alpha * xb[off(j, incx)];
     T t2(0);
     if (uplo == Uplo::Upper) {
       const idx lo = std::max<idx>(0, j - k);
       for (idx i = lo; i < j; ++i) {
-        yb[i * incy] += t1 * col[k + i - j];
-        t2 += cj(col[k + i - j]) * xb[i * incx];
+        yb[off(i, incy)] += t1 * col[k + i - j];
+        t2 += cj(col[k + i - j]) * xb[off(i, incx)];
       }
       const T diag = Conj ? T(real_part(col[k])) : col[k];
-      yb[j * incy] += t1 * diag + alpha * t2;
+      yb[off(j, incy)] += t1 * diag + alpha * t2;
     } else {
       const idx hi = std::min<idx>(n - 1, j + k);
       const T diag = Conj ? T(real_part(col[0])) : col[0];
-      yb[j * incy] += t1 * diag;
+      yb[off(j, incy)] += t1 * diag;
       for (idx i = j + 1; i <= hi; ++i) {
-        yb[i * incy] += t1 * col[i - j];
-        t2 += cj(col[i - j]) * xb[i * incx];
+        yb[off(i, incy)] += t1 * col[i - j];
+        t2 += cj(col[i - j]) * xb[off(i, incx)];
       }
-      yb[j * incy] += alpha * t2;
+      yb[off(j, incy)] += alpha * t2;
     }
   }
 }
@@ -713,7 +715,7 @@ void spmv_impl(Uplo uplo, idx n, T alpha, const T* ap, const T* x, idx incx,
   const T* xb = stride_base(x, n, incx);
   if (beta != T(1)) {
     for (idx i = 0; i < n; ++i) {
-      yb[i * incy] = beta == T(0) ? T(0) : beta * yb[i * incy];
+      yb[off(i, incy)] = beta == T(0) ? T(0) : beta * yb[off(i, incy)];
     }
   }
   if (alpha == T(0)) {
@@ -723,27 +725,27 @@ void spmv_impl(Uplo uplo, idx n, T alpha, const T* ap, const T* x, idx incx,
   std::size_t kk = 0;  // running offset of column j's packed start
   if (uplo == Uplo::Upper) {
     for (idx j = 0; j < n; ++j) {
-      const T t1 = alpha * xb[j * incx];
+      const T t1 = alpha * xb[off(j, incx)];
       T t2(0);
       for (idx i = 0; i < j; ++i) {
-        yb[i * incy] += t1 * ap[kk + i];
-        t2 += cj(ap[kk + i]) * xb[i * incx];
+        yb[off(i, incy)] += t1 * ap[kk + i];
+        t2 += cj(ap[kk + i]) * xb[off(i, incx)];
       }
       const T diag = Conj ? T(real_part(ap[kk + j])) : ap[kk + j];
-      yb[j * incy] += t1 * diag + alpha * t2;
+      yb[off(j, incy)] += t1 * diag + alpha * t2;
       kk += static_cast<std::size_t>(j) + 1;
     }
   } else {
     for (idx j = 0; j < n; ++j) {
-      const T t1 = alpha * xb[j * incx];
+      const T t1 = alpha * xb[off(j, incx)];
       T t2(0);
       const T diag = Conj ? T(real_part(ap[kk])) : ap[kk];
-      yb[j * incy] += t1 * diag;
+      yb[off(j, incy)] += t1 * diag;
       for (idx i = j + 1; i < n; ++i) {
-        yb[i * incy] += t1 * ap[kk + i - j];
-        t2 += cj(ap[kk + i - j]) * xb[i * incx];
+        yb[off(i, incy)] += t1 * ap[kk + i - j];
+        t2 += cj(ap[kk + i - j]) * xb[off(i, incx)];
       }
-      yb[j * incy] += alpha * t2;
+      yb[off(j, incy)] += alpha * t2;
       kk += static_cast<std::size_t>(n - j);
     }
   }
@@ -781,26 +783,26 @@ void tbmv(Uplo uplo, Trans trans, Diag diag, idx n, idx k, const T* ab,
   if (trans == Trans::NoTrans) {
     if (uplo == Uplo::Upper) {
       for (idx j = 0; j < n; ++j) {
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
         const idx lo = std::max<idx>(0, j - k);
         for (idx i = lo; i < j; ++i) {
-          xb[i * incx] += t * col[k + i - j];
+          xb[off(i, incx)] += t * col[k + i - j];
         }
         if (!unit) {
-          xb[j * incx] = t * col[k];
+          xb[off(j, incx)] = t * col[k];
         }
       }
     } else {
       for (idx j = n - 1; j >= 0; --j) {
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
         const idx hi = std::min<idx>(n - 1, j + k);
         for (idx i = hi; i > j; --i) {
-          xb[i * incx] += t * col[i - j];
+          xb[off(i, incx)] += t * col[i - j];
         }
         if (!unit) {
-          xb[j * incx] = t * col[0];
+          xb[off(j, incx)] = t * col[0];
         }
       }
     }
@@ -808,22 +810,22 @@ void tbmv(Uplo uplo, Trans trans, Diag diag, idx n, idx k, const T* ab,
     if (uplo == Uplo::Upper) {
       for (idx j = n - 1; j >= 0; --j) {
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
-        T t = unit ? xb[j * incx] : cj(col[k]) * xb[j * incx];
+        T t = unit ? xb[off(j, incx)] : cj(col[k]) * xb[off(j, incx)];
         const idx lo = std::max<idx>(0, j - k);
         for (idx i = lo; i < j; ++i) {
-          t += cj(col[k + i - j]) * xb[i * incx];
+          t += cj(col[k + i - j]) * xb[off(i, incx)];
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     } else {
       for (idx j = 0; j < n; ++j) {
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
-        T t = unit ? xb[j * incx] : cj(col[0]) * xb[j * incx];
+        T t = unit ? xb[off(j, incx)] : cj(col[0]) * xb[off(j, incx)];
         const idx hi = std::min<idx>(n - 1, j + k);
         for (idx i = j + 1; i <= hi; ++i) {
-          t += cj(col[i - j]) * xb[i * incx];
+          t += cj(col[i - j]) * xb[off(i, incx)];
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     }
   }
@@ -846,24 +848,24 @@ void tbsv(Uplo uplo, Trans trans, Diag diag, idx n, idx k, const T* ab,
       for (idx j = n - 1; j >= 0; --j) {
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
         if (!unit) {
-          xb[j * incx] /= col[k];
+          xb[off(j, incx)] /= col[k];
         }
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         const idx lo = std::max<idx>(0, j - k);
         for (idx i = lo; i < j; ++i) {
-          xb[i * incx] -= t * col[k + i - j];
+          xb[off(i, incx)] -= t * col[k + i - j];
         }
       }
     } else {
       for (idx j = 0; j < n; ++j) {
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
         if (!unit) {
-          xb[j * incx] /= col[0];
+          xb[off(j, incx)] /= col[0];
         }
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         const idx hi = std::min<idx>(n - 1, j + k);
         for (idx i = j + 1; i <= hi; ++i) {
-          xb[i * incx] -= t * col[i - j];
+          xb[off(i, incx)] -= t * col[i - j];
         }
       }
     }
@@ -871,28 +873,28 @@ void tbsv(Uplo uplo, Trans trans, Diag diag, idx n, idx k, const T* ab,
     if (uplo == Uplo::Upper) {
       for (idx j = 0; j < n; ++j) {
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
-        T t = xb[j * incx];
+        T t = xb[off(j, incx)];
         const idx lo = std::max<idx>(0, j - k);
         for (idx i = lo; i < j; ++i) {
-          t -= cj(col[k + i - j]) * xb[i * incx];
+          t -= cj(col[k + i - j]) * xb[off(i, incx)];
         }
         if (!unit) {
           t /= cj(col[k]);
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     } else {
       for (idx j = n - 1; j >= 0; --j) {
         const T* col = ab + static_cast<std::size_t>(j) * ldab;
-        T t = xb[j * incx];
+        T t = xb[off(j, incx)];
         const idx hi = std::min<idx>(n - 1, j + k);
         for (idx i = j + 1; i <= hi; ++i) {
-          t -= cj(col[i - j]) * xb[i * incx];
+          t -= cj(col[i - j]) * xb[off(i, incx)];
         }
         if (!unit) {
           t /= cj(col[0]);
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     }
   }
@@ -922,41 +924,41 @@ void tpmv(Uplo uplo, Trans trans, Diag diag, idx n, const T* ap, T* x,
   if (trans == Trans::NoTrans) {
     if (uplo == Uplo::Upper) {
       for (idx j = 0; j < n; ++j) {
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         for (idx i = 0; i < j; ++i) {
-          xb[i * incx] += t * at(i, j);
+          xb[off(i, incx)] += t * at(i, j);
         }
         if (!unit) {
-          xb[j * incx] = t * at(j, j);
+          xb[off(j, incx)] = t * at(j, j);
         }
       }
     } else {
       for (idx j = n - 1; j >= 0; --j) {
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         for (idx i = n - 1; i > j; --i) {
-          xb[i * incx] += t * at(i, j);
+          xb[off(i, incx)] += t * at(i, j);
         }
         if (!unit) {
-          xb[j * incx] = t * at(j, j);
+          xb[off(j, incx)] = t * at(j, j);
         }
       }
     }
   } else {
     if (uplo == Uplo::Upper) {
       for (idx j = n - 1; j >= 0; --j) {
-        T t = unit ? xb[j * incx] : cj(at(j, j)) * xb[j * incx];
+        T t = unit ? xb[off(j, incx)] : cj(at(j, j)) * xb[off(j, incx)];
         for (idx i = 0; i < j; ++i) {
-          t += cj(at(i, j)) * xb[i * incx];
+          t += cj(at(i, j)) * xb[off(i, incx)];
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     } else {
       for (idx j = 0; j < n; ++j) {
-        T t = unit ? xb[j * incx] : cj(at(j, j)) * xb[j * incx];
+        T t = unit ? xb[off(j, incx)] : cj(at(j, j)) * xb[off(j, incx)];
         for (idx i = j + 1; i < n; ++i) {
-          t += cj(at(i, j)) * xb[i * incx];
+          t += cj(at(i, j)) * xb[off(i, incx)];
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     }
   }
@@ -987,46 +989,46 @@ void tpsv(Uplo uplo, Trans trans, Diag diag, idx n, const T* ap, T* x,
     if (uplo == Uplo::Upper) {
       for (idx j = n - 1; j >= 0; --j) {
         if (!unit) {
-          xb[j * incx] /= at(j, j);
+          xb[off(j, incx)] /= at(j, j);
         }
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         for (idx i = 0; i < j; ++i) {
-          xb[i * incx] -= t * at(i, j);
+          xb[off(i, incx)] -= t * at(i, j);
         }
       }
     } else {
       for (idx j = 0; j < n; ++j) {
         if (!unit) {
-          xb[j * incx] /= at(j, j);
+          xb[off(j, incx)] /= at(j, j);
         }
-        const T t = xb[j * incx];
+        const T t = xb[off(j, incx)];
         for (idx i = j + 1; i < n; ++i) {
-          xb[i * incx] -= t * at(i, j);
+          xb[off(i, incx)] -= t * at(i, j);
         }
       }
     }
   } else {
     if (uplo == Uplo::Upper) {
       for (idx j = 0; j < n; ++j) {
-        T t = xb[j * incx];
+        T t = xb[off(j, incx)];
         for (idx i = 0; i < j; ++i) {
-          t -= cj(at(i, j)) * xb[i * incx];
+          t -= cj(at(i, j)) * xb[off(i, incx)];
         }
         if (!unit) {
           t /= cj(at(j, j));
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     } else {
       for (idx j = n - 1; j >= 0; --j) {
-        T t = xb[j * incx];
+        T t = xb[off(j, incx)];
         for (idx i = j + 1; i < n; ++i) {
-          t -= cj(at(i, j)) * xb[i * incx];
+          t -= cj(at(i, j)) * xb[off(i, incx)];
         }
         if (!unit) {
           t /= cj(at(j, j));
         }
-        xb[j * incx] = t;
+        xb[off(j, incx)] = t;
       }
     }
   }

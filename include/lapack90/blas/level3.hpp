@@ -26,13 +26,13 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "lapack90/blas/level1.hpp"
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/parallel.hpp"
 #include "lapack90/core/simd.hpp"
 #include "lapack90/core/types.hpp"
+#include "lapack90/core/workspace.hpp"
 
 namespace la::blas {
 
@@ -524,27 +524,11 @@ void micro_kernel(idx kc, T alpha, const T* ap, idx mr, const T* bp, idx nr,
   }
 }
 
-/// Reusable per-thread packing buffers. Workers keep their A buffer across
-/// gemm calls; the caller's B buffer is lent to its team for the duration
-/// of one panel. The buffers never shrink, so steady-state gemm performs
-/// no heap allocation on the hot path.
-template <Scalar T>
-[[nodiscard]] inline T* pack_workspace_a(std::size_t n) {
-  thread_local std::vector<T> buf;
-  if (buf.size() < n) {
-    buf.resize(n);
-  }
-  return buf.data();
-}
-
-template <Scalar T>
-[[nodiscard]] inline T* pack_workspace_b(std::size_t n) {
-  thread_local std::vector<T> buf;
-  if (buf.size() < n) {
-    buf.resize(n);
-  }
-  return buf.data();
-}
+/// Tags of the per-thread packing buffers (la::detail::work_buffer).
+/// Workers keep their A buffer across gemm calls; the caller's B buffer is
+/// lent to its team for the duration of one panel.
+struct PackATag {};
+struct PackBTag {};
 
 }  // namespace detail
 
@@ -618,7 +602,7 @@ void gemm(Trans ta, Trans tb, idx m, idx n, idx k, T alpha, const T* a,
   const idx MC = B::mc();
   const idx KC = B::kc();
   const idx NC = B::nc();
-  T* const bpack = detail::pack_workspace_b<T>(
+  T* const bpack = la::detail::work_buffer<T, detail::PackBTag>(
       static_cast<std::size_t>(KC) * static_cast<std::size_t>(NC));
 
   for (idx jc = 0; jc < n; jc += NC) {
@@ -648,7 +632,7 @@ void gemm(Trans ta, Trans tb, idx m, idx n, idx k, T alpha, const T* a,
       parallel_for(mblocks, [&](idx icb, int) {
         const idx ic = icb * MC;
         const idx mc = std::min<idx>(MC, m - ic);
-        T* const apack = detail::pack_workspace_a<T>(
+        T* const apack = la::detail::work_buffer<T, detail::PackATag>(
             static_cast<std::size_t>(MC) * static_cast<std::size_t>(KC));
         detail::pack_a(mc, kc, a, lda, ta, ic, kc0, apack);
         const idx mstrips = (mc + B::MR - 1) / B::MR;
@@ -1137,18 +1121,10 @@ void her2k_ref(Uplo uplo, Trans trans, idx n, idx k, T alpha, const T* a,
   }
 }
 
-/// Concatenation scratch for the rank-2k NoTrans fast path: S = [A B] and
-/// the scaled twin, both n x 2k column-major. Never shrinks, so the
-/// steady-state sytrd/hetrd trailing updates do no heap allocation.
-template <Scalar T>
-T* rank2k_workspace(int which, std::size_t elems) {
-  thread_local std::vector<T> buf[2];
-  std::vector<T>& v = buf[which];
-  if (v.size() < elems) {
-    v.resize(elems);
-  }
-  return v.data();
-}
+/// Tags of the concatenation scratch for the rank-2k NoTrans fast path:
+/// S = [A B] and the scaled twin, both n x 2k column-major.
+struct Rank2kSTag {};
+struct Rank2kTTag {};
 
 }  // namespace detail
 
@@ -1174,10 +1150,10 @@ void syr2k(Uplo uplo, Trans trans, idx n, idx k, T alpha, const T* a, idx lda,
   const T* s = nullptr;   // [A B], n x 2k
   const T* tm = nullptr;  // [alpha*B alpha*A], n x 2k
   if (nt) {
-    T* sw = detail::rank2k_workspace<T>(
-        0, static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
-    T* tw = detail::rank2k_workspace<T>(
-        1, static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
+    T* sw = la::detail::work_buffer<T, detail::Rank2kSTag>(
+        static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
+    T* tw = la::detail::work_buffer<T, detail::Rank2kTTag>(
+        static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
     for (idx l = 0; l < k; ++l) {
       const T* acol = a + static_cast<std::size_t>(l) * lda;
       const T* bcol = b + static_cast<std::size_t>(l) * ldb;
@@ -1258,10 +1234,10 @@ void her2k(Uplo uplo, Trans trans, idx n, idx k, T alpha, const T* a, idx lda,
     const T* s = nullptr;   // [A B], n x 2k
     const T* tm = nullptr;  // [conj(alpha)*B alpha*A], n x 2k
     if (nt) {
-      T* sw = detail::rank2k_workspace<T>(
-          0, static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
-      T* tw = detail::rank2k_workspace<T>(
-          1, static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
+      T* sw = la::detail::work_buffer<T, detail::Rank2kSTag>(
+          static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
+      T* tw = la::detail::work_buffer<T, detail::Rank2kTTag>(
+          static_cast<std::size_t>(n) * 2 * static_cast<std::size_t>(k));
       const T ca = conj_if(alpha);
       for (idx l = 0; l < k; ++l) {
         const T* acol = a + static_cast<std::size_t>(l) * lda;

@@ -22,6 +22,7 @@
 #include "lapack90/core/error.hpp"
 #include "lapack90/core/matrix.hpp"
 #include "lapack90/core/packed.hpp"
+#include "lapack90/core/workspace.hpp"
 #include "lapack90/f77/f77_lapack.hpp"
 
 namespace la::f90 {
@@ -40,21 +41,19 @@ bool allocate(std::vector<T>& buf, std::size_t n, idx& linfo) {
   return true;
 }
 
+struct PivotTag {};
+
 /// Reusable pivot workspace for the simple drivers when the caller omits
-/// IPIV. The buffer is thread-local and never shrinks, so the steady-state
-/// solve path performs no heap allocation (mirrors the gemm pack buffers
-/// in the threaded BLAS runtime). The -100 failure-injection hook is
-/// checked on every call, exactly like allocate().
+/// IPIV: a per-thread, grow-only la::detail::work_buffer, so the
+/// steady-state solve path performs no heap allocation. The -100
+/// failure-injection hook is checked on every call, exactly like
+/// allocate().
 inline idx* pivot_workspace(idx n, idx& linfo) {
   if (alloc_should_fail()) {
     linfo = -100;
     return nullptr;
   }
-  thread_local std::vector<idx> buf;
-  if (static_cast<idx>(buf.size()) < n) {
-    buf.resize(static_cast<std::size_t>(n));
-  }
-  return buf.data();
+  return la::detail::work_buffer<idx, PivotTag>(static_cast<std::size_t>(n));
 }
 
 }  // namespace detail

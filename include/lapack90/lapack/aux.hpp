@@ -149,7 +149,7 @@ template <Scalar T>
 [[nodiscard]] real_t<T> max_abs1(idx n, const T* x, idx incx = 1) noexcept {
   real_t<T> m(0);
   for (idx i = 0; i < n; ++i) {
-    m = std::max(m, abs1(x[i * incx]));
+    m = std::max(m, abs1(x[off(i, incx)]));
   }
   return m;
 }

@@ -20,6 +20,7 @@
 #include "lapack90/blas/level3.hpp"
 #include "lapack90/core/precision.hpp"
 #include "lapack90/core/types.hpp"
+#include "lapack90/core/workspace.hpp"
 #include "lapack90/lapack/aux.hpp"
 #include "lapack90/lapack/qr.hpp"
 #include "lapack90/lapack/svd.hpp"
@@ -42,6 +43,10 @@ idx trtrs(Uplo uplo, Trans trans, Diag diag, idx n, idx nrhs, const T* a,
   return 0;
 }
 
+namespace detail {
+struct GelsTauTag {};
+}  // namespace detail
+
 /// Driver: over/under-determined least squares by QR or LQ (xGELS).
 /// Solves min ||op(A) X - B|| (overdetermined) or the minimum-norm
 /// solution (underdetermined); B is max(m, n) x nrhs, solution in its
@@ -55,14 +60,15 @@ idx gels(Trans trans, idx m, idx n, idx nrhs, T* a, idx lda, T* b, idx ldb) {
     laset(Part::All, std::max(m, n), nrhs, T(0), T(0), b, ldb);
     return 0;
   }
-  std::vector<T> tau(static_cast<std::size_t>(k));
+  T* const tau = la::detail::work_buffer<T, detail::GelsTauTag>(
+      static_cast<std::size_t>(k));
   const bool tpsd = trans != Trans::NoTrans;
   const Trans ct = conj_trans_for<T>();
   if (m >= n) {
-    geqrf(m, n, a, lda, tau.data());
+    geqrf(m, n, a, lda, tau);
     if (!tpsd) {
       // Least squares: B := Q^H B, solve R X = B(0:n-1).
-      ormqr(Side::Left, ct, m, nrhs, n, a, lda, tau.data(), b, ldb);
+      ormqr(Side::Left, ct, m, nrhs, n, a, lda, tau, b, ldb);
       return trtrs(Uplo::Upper, Trans::NoTrans, Diag::NonUnit, n, nrhs, a,
                    lda, b, ldb);
     }
@@ -73,10 +79,10 @@ idx gels(Trans trans, idx m, idx n, idx nrhs, T* a, idx lda, T* b, idx ldb) {
       return info;
     }
     laset(Part::All, m - n, nrhs, T(0), T(0), b + n, ldb);
-    ormqr(Side::Left, Trans::NoTrans, m, nrhs, n, a, lda, tau.data(), b, ldb);
+    ormqr(Side::Left, Trans::NoTrans, m, nrhs, n, a, lda, tau, b, ldb);
     return 0;
   }
-  gelqf(m, n, a, lda, tau.data());
+  gelqf(m, n, a, lda, tau);
   if (!tpsd) {
     // Minimum-norm solution of A X = B: solve L W = B, X = Q^H [W; 0].
     const idx info = trtrs(Uplo::Lower, Trans::NoTrans, Diag::NonUnit, m,
@@ -85,11 +91,11 @@ idx gels(Trans trans, idx m, idx n, idx nrhs, T* a, idx lda, T* b, idx ldb) {
       return info;
     }
     laset(Part::All, n - m, nrhs, T(0), T(0), b + m, ldb);
-    ormlq(Side::Left, ct, n, nrhs, m, a, lda, tau.data(), b, ldb);
+    ormlq(Side::Left, ct, n, nrhs, m, a, lda, tau, b, ldb);
     return 0;
   }
   // Least squares for A^H X = B: B := Q B, solve L^H X = B(0:m-1).
-  ormlq(Side::Left, Trans::NoTrans, n, nrhs, m, a, lda, tau.data(), b, ldb);
+  ormlq(Side::Left, Trans::NoTrans, n, nrhs, m, a, lda, tau, b, ldb);
   return trtrs(Uplo::Lower, ct, Diag::NonUnit, m, nrhs, a, lda, b, ldb);
 }
 
@@ -108,7 +114,7 @@ void larz(Side side, idx m, idx n, idx l, const T* v, idx incv, T tau, T* c,
       T w = c[static_cast<std::size_t>(j) * ldc];
       const T* ctail = c + static_cast<std::size_t>(j) * ldc + (m - l);
       for (idx i = 0; i < l; ++i) {
-        w += conj_if(v[i * incv]) * ctail[i];
+        w += conj_if(v[off(i, incv)]) * ctail[i];
       }
       work[j] = w;
     }

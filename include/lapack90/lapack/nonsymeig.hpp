@@ -250,7 +250,7 @@ void gehrd(idx n, idx ilo, idx ihi, T* a, idx lda, T* tau) {
   const Trans ct = conj_trans_for<T>();
   // Workspace: Y (n x nb) + T (nb x nb) + larfb scratch (n x nb) + the
   // unblocked kernel's n-vector.
-  T* const ws = detail::work_buffer<T, detail::WsGehrdTag>(
+  T* const ws = la::detail::work_buffer<T, detail::WsGehrdTag>(
       2 * static_cast<std::size_t>(std::max<idx>(n, 1)) * nb +
       static_cast<std::size_t>(nb) * nb +
       static_cast<std::size_t>(std::max<idx>(n, 1)));

@@ -27,6 +27,7 @@
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/precision.hpp"
 #include "lapack90/core/types.hpp"
+#include "lapack90/core/workspace.hpp"
 #include "lapack90/lapack/aux.hpp"
 #include "lapack90/lapack/tiled_fwd.hpp"
 
@@ -34,24 +35,18 @@ namespace la::lapack {
 
 namespace detail {
 
-/// Reusable per-thread workspace for blocked factorizations, reductions
-/// and Q accumulation. Keyed by a tag type so that nested calls from
-/// different routine families (orgtr -> orgqr, gesvd -> gebrd -> orgbr)
-/// never alias the same buffer. The buffer never shrinks, so steady-state
-/// drivers perform no heap allocation per factorization — the same
-/// contract as the gemm pack buffers in blas/level3.hpp.
-template <Scalar T, class Tag>
-[[nodiscard]] inline T* work_buffer(std::size_t n) {
-  thread_local std::vector<T> buf;
-  if (buf.size() < n) {
-    buf.resize(n);
-  }
-  return buf.data();
-}
-
+// Scratch buffers come from la::detail::work_buffer (core/workspace.hpp),
+// one tag per buffer of each routine.
+struct GeqrfWorkTag {};  // geqr2 scratch of geqrf's unblocked branch
+struct GeqrfTTag {};     // T factors of geqrf's tiled branch
 struct OrgQrTag {};
 struct OrgLqTag {};
 struct OrgQlTag {};
+struct OrmQrWorkTag {};  // larf scratch
+struct OrmQrVTag {};     // reflector with its unit head
+struct GelqfWorkTag {};
+struct OrmLqWorkTag {};
+struct OrmLqVTag {};
 
 }  // namespace detail
 
@@ -422,14 +417,15 @@ idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {
   const idx k = std::min(m, n);
   const idx nb = tiled::detail::tile_edge(EnvRoutine::geqrf, k);
   if (nb == 0) {
-    std::vector<T> work(static_cast<std::size_t>(std::max<idx>(n, 1)));
-    geqr2(m, n, a, lda, tau, work.data());
+    geqr2(m, n, a, lda, tau,
+          la::detail::work_buffer<T, detail::GeqrfWorkTag>(
+              static_cast<std::size_t>(n)));
     return 0;
   }
   // One nb x nb T factor per panel step.
-  std::vector<T> tstore(static_cast<std::size_t>((k + nb - 1) / nb) * nb *
-                        nb);
-  tiled::detail::QrTiles<T> t{m, n, k, nb, a, lda, tau, tstore.data()};
+  T* const tstore = la::detail::work_buffer<T, detail::GeqrfTTag>(
+      static_cast<std::size_t>((k + nb - 1) / nb) * nb * nb);
+  tiled::detail::QrTiles<T> t{m, n, k, nb, a, lda, tau, tstore};
   TaskGraph g;
   tiled::detail::build(g, t);
   return g.run();
@@ -510,7 +506,7 @@ void orgqr(idx m, idx n, idx k, T* a, idx lda, const T* tau) {
     return;
   }
   const idx nb = std::max<idx>(block_size(EnvRoutine::ormqr, k), 1);
-  T* const ws = detail::work_buffer<T, detail::OrgQrTag>(
+  T* const ws = la::detail::work_buffer<T, detail::OrgQrTag>(
       static_cast<std::size_t>(nb) * nb +
       static_cast<std::size_t>(std::max<idx>(n, 1)) * nb);
   T* const t = ws;
@@ -573,7 +569,7 @@ void orgql(idx m, idx n, idx k, T* a, idx lda, const T* tau) {
     return;
   }
   const idx nb = std::max<idx>(block_size(EnvRoutine::ormqr, k), 1);
-  T* const ws = detail::work_buffer<T, detail::OrgQlTag>(
+  T* const ws = la::detail::work_buffer<T, detail::OrgQlTag>(
       static_cast<std::size_t>(nb) * nb +
       static_cast<std::size_t>(std::max<idx>(n, 1)) * nb);
   T* const t = ws;
@@ -623,8 +619,9 @@ void ormqr(Side side, Trans trans, idx m, idx n, idx k, const T* a, idx lda,
   if (m <= 0 || n <= 0 || k <= 0) {
     return;
   }
-  std::vector<T> work(static_cast<std::size_t>(std::max(m, n)));
-  std::vector<T> vcol(static_cast<std::size_t>(std::max(m, n)));
+  const auto len_max = static_cast<std::size_t>(std::max(m, n));
+  T* const work = la::detail::work_buffer<T, detail::OrmQrWorkTag>(len_max);
+  T* const vcol = la::detail::work_buffer<T, detail::OrmQrVTag>(len_max);
   const bool notran = trans == Trans::NoTrans;
   const bool left = side == Side::Left;
   const bool forward = (left && !notran) || (!left && notran);
@@ -638,7 +635,7 @@ void ormqr(Side side, Trans trans, idx m, idx n, idx k, const T* a, idx lda,
     const idx len = left ? mi : ni;
     // Copy the reflector with its implicit unit head.
     blas::copy(len - 1, a + static_cast<std::size_t>(i) * lda + i + 1, 1,
-               vcol.data() + 1, 1);
+               vcol + 1, 1);
     vcol[0] = T(1);
     T taui = tau[i];
     if constexpr (is_complex_v<T>) {
@@ -646,7 +643,7 @@ void ormqr(Side side, Trans trans, idx m, idx n, idx k, const T* a, idx lda,
         taui = std::conj(taui);
       }
     }
-    larf(side, mi, ni, vcol.data(), 1, taui, cblock, ldc, work.data());
+    larf(side, mi, ni, vcol, 1, taui, cblock, ldc, work);
   }
 }
 
@@ -679,8 +676,9 @@ void gelq2(idx m, idx n, T* a, idx lda, T* tau, T* work) noexcept {
 /// machinery is not replicated here.
 template <Scalar T>
 void gelqf(idx m, idx n, T* a, idx lda, T* tau) {
-  std::vector<T> work(static_cast<std::size_t>(std::max<idx>(m, 1)));
-  gelq2(m, n, a, lda, tau, work.data());
+  gelq2(m, n, a, lda, tau,
+        la::detail::work_buffer<T, detail::GelqfWorkTag>(
+            static_cast<std::size_t>(m)));
 }
 
 namespace detail {
@@ -732,7 +730,7 @@ void orglq(idx m, idx n, idx k, T* a, idx lda, const T* tau) {
     return;
   }
   const idx nb = std::max<idx>(block_size(EnvRoutine::ormqr, k), 1);
-  T* const ws = detail::work_buffer<T, detail::OrgLqTag>(
+  T* const ws = la::detail::work_buffer<T, detail::OrgLqTag>(
       static_cast<std::size_t>(nb) * nb +
       static_cast<std::size_t>(std::max<idx>(m, 1)) * nb);
   T* const t = ws;
@@ -789,8 +787,9 @@ void ormlq(Side side, Trans trans, idx m, idx n, idx k, const T* a, idx lda,
   if (m <= 0 || n <= 0 || k <= 0) {
     return;
   }
-  std::vector<T> work(static_cast<std::size_t>(std::max(m, n)));
-  std::vector<T> vrow(static_cast<std::size_t>(std::max(m, n)));
+  const auto len_max = static_cast<std::size_t>(std::max(m, n));
+  T* const work = la::detail::work_buffer<T, detail::OrmLqWorkTag>(len_max);
+  T* const vrow = la::detail::work_buffer<T, detail::OrmLqVTag>(len_max);
   const bool notran = trans == Trans::NoTrans;
   const bool left = side == Side::Left;
   // LQ reflectors compose in the opposite order to QR ones.
@@ -806,15 +805,15 @@ void ormlq(Side side, Trans trans, idx m, idx n, idx k, const T* a, idx lda,
     // Row i of A holds the (conjugated) reflector tail.
     vrow[0] = T(1);
     blas::copy(len - 1, a + static_cast<std::size_t>(i + 1) * lda + i, lda,
-               vrow.data() + 1, 1);
-    lacgv(len - 1, vrow.data() + 1, 1);
+               vrow + 1, 1);
+    lacgv(len - 1, vrow + 1, 1);
     T taui = tau[i];
     if constexpr (is_complex_v<T>) {
       if (notran) {
         taui = std::conj(taui);
       }
     }
-    larf(side, mi, ni, vrow.data(), 1, taui, cblock, ldc, work.data());
+    larf(side, mi, ni, vrow, 1, taui, cblock, ldc, work);
   }
 }
 

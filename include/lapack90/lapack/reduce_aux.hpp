@@ -21,7 +21,7 @@
 
 namespace la::lapack::detail {
 
-// thread_local workspace tags for the blocked reduction drivers. One tag
+// la::detail::work_buffer tags for the blocked reduction drivers. One tag
 // per routine family so nested calls (gesvd -> gebrd -> orgbr -> orgqr)
 // never alias each other's buffers.
 struct WsSytrdTag {};

@@ -125,7 +125,7 @@ void gebrd(idx m, idx n, T* a, idx lda, real_t<T>* d, real_t<T>* e, T* tauq,
   // Workspace: X (m x nb) + Y (n x nb), the concatenation scratch for the
   // merged trailing update (S: m x 2nb, Dm: 2nb x n), and the unblocked
   // kernel's max(m, n)-vector.
-  T* const ws = detail::work_buffer<T, detail::WsGebrdTag>(
+  T* const ws = la::detail::work_buffer<T, detail::WsGebrdTag>(
       3 * static_cast<std::size_t>(m + n) * nb +
       static_cast<std::size_t>(std::max<idx>(std::max(m, n), 1)));
   T* const x = ws;

@@ -126,7 +126,7 @@ void sytrd(Uplo uplo, idx n, T* a, idx lda, real_t<T>* d, real_t<T>* e,
     return;
   }
   const idx nb = std::max<idx>(block_size(EnvRoutine::sytrd, n), 1);
-  T* const ws = detail::work_buffer<T, detail::WsSytrdTag>(
+  T* const ws = la::detail::work_buffer<T, detail::WsSytrdTag>(
       static_cast<std::size_t>(n) * nb + static_cast<std::size_t>(n));
   T* const w = ws;                                      // n x nb panel W
   T* const work = ws + static_cast<std::size_t>(n) * nb;  // sytd2 scratch

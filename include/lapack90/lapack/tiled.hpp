@@ -320,7 +320,7 @@ struct QrTiles {
     }
     const idx j = j0(s), w = jb(s);
     T* const work =
-        lapack::detail::work_buffer<T, PanelWorkTag>(
+        la::detail::work_buffer<T, PanelWorkTag>(
             static_cast<std::size_t>(nb));
     geqr2(m - j, w, at(j, j), lda, tau + j, work);
     if (j + w < n) {
@@ -337,7 +337,7 @@ struct QrTiles {
       return false;
     }
     const idx j = j0(s), w = jb(s);
-    T* const work = lapack::detail::work_buffer<T, LarfbWorkTag>(
+    T* const work = la::detail::work_buffer<T, LarfbWorkTag>(
         static_cast<std::size_t>(c.len()) * nb);
     larfb(Side::Left, conj_trans_for<T>(), m - j, c.len(), w, at(j, j), lda,
           tstore + static_cast<std::size_t>(s) * nb * nb, w, at(j, c.lo),

@@ -27,19 +27,19 @@
 // potrs) sequence on the untouched A and B. The returned info is the
 // full-precision factorization's info in that case, 0 otherwise.
 //
-// Workspaces are per-thread and never shrink (the work_buffer contract of
-// the blocked factorizations), so the steady-state driver — and the batch
+// Workspaces are per-thread and never shrink (la::detail::work_buffer,
+// core/workspace.hpp), so the steady-state driver — and the batch
 // tier looping over many small systems — performs no heap allocation.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "lapack90/blas/mixed.hpp"
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/precision.hpp"
 #include "lapack90/core/types.hpp"
+#include "lapack90/core/workspace.hpp"
 #include "lapack90/lapack/aux.hpp"
 #include "lapack90/lapack/cholesky.hpp"
 #include "lapack90/lapack/lu.hpp"
@@ -48,18 +48,6 @@
 namespace la::mixed {
 
 namespace detail {
-
-/// Per-thread, never-shrinking workspace (same contract as
-/// lapack::detail::work_buffer, without its Scalar constraint so it can
-/// also hold Compensated accumulators).
-template <class T, class Tag>
-[[nodiscard]] inline T* work(std::size_t n) {
-  thread_local std::vector<T> buf;
-  if (buf.size() < n) {
-    buf.resize(n);
-  }
-  return buf.data();
-}
 
 struct WsLowFactorTag {};  // demoted matrix (factored in low precision)
 struct WsLowRhsTag {};     // demoted right-hand sides / residuals
@@ -137,10 +125,10 @@ bool refine_loop(idx n, idx nrhs, const T* b, idx ldb, T* x, idx ldx,
   const idx itermax = max_iter();
   const std::size_t nn = static_cast<std::size_t>(n) * n;
   const std::size_t nrhs_sz = static_cast<std::size_t>(n) * nrhs;
-  S* const sa = work<S, WsLowFactorTag>(nn);
-  S* const sx = work<S, WsLowRhsTag>(nrhs_sz);
-  T* const r = work<T, WsResidualTag>(nrhs_sz);
-  auto* const acc = work<Compensated<R>, WsAccTag>(
+  S* const sa = la::detail::work_buffer<S, WsLowFactorTag>(nn);
+  S* const sx = la::detail::work_buffer<S, WsLowRhsTag>(nrhs_sz);
+  T* const r = la::detail::work_buffer<T, WsResidualTag>(nrhs_sz);
+  auto* const acc = la::detail::work_buffer<Compensated<R>, WsAccTag>(
       static_cast<std::size_t>(is_complex_v<T> ? 2 : 1) * n);
 
   // Demote B and A; any entry out of the lower precision's range aborts.
@@ -219,8 +207,9 @@ idx gesv(idx n, idx nrhs, T* a, idx lda, idx* ipiv, const T* b, idx ldb,
           if constexpr (is_complex_v<T>) {
             return blas::demote<T>(n, n, a, lda, sa, n) == 0;
           } else {
-            real_t<T>* const rs = detail::work<real_t<T>, detail::WsRowSumTag>(
-                static_cast<std::size_t>(n));
+            real_t<T>* const rs =
+                la::detail::work_buffer<real_t<T>, detail::WsRowSumTag>(
+                    static_cast<std::size_t>(n));
             std::fill_n(rs, n, real_t<T>(0));
             if (blas::demote<T>(n, n, a, lda, sa, n, rs) != 0) {
               return false;

@@ -46,7 +46,7 @@ T* solution_workspace(std::size_t n, idx& linfo) {
     linfo = -100;
     return nullptr;
   }
-  return work<T, WsF90SolutionTag>(n);
+  return la::detail::work_buffer<T, WsF90SolutionTag>(n);
 }
 
 }  // namespace detail

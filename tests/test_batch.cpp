@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <span>
 #include <vector>
@@ -283,8 +284,7 @@ TYPED_TEST(BatchTest, GelsMatchesSequentialLoop) {
   EXPECT_EQ(batch::gels_batch(Trans::NoTrans, make_batch(as, pa, da),
                               make_batch(bs, pb, db)),
             0);
-  // The inlined geqr2 + Householder-apply + trtrs path performs the same
-  // arithmetic as the library gels on these shapes: exact agreement.
+  // Entry i is the library gels call: exact agreement.
   expect_identical(ra, as);
   expect_identical(rb, bs);
 }
@@ -320,6 +320,65 @@ TYPED_TEST(BatchTest, GelsBitIdenticalAcrossWorkerCounts) {
       expect_identical(base_b, b);
     });
   }
+}
+
+// Shapes with min(m, n) past geqrf's tile edge but max(m, n) below
+// BatchGrain: the direct drivers run the tile DAG here while the entries
+// still fan out across workers, so only a batch layer that calls the
+// library drivers gets their bits.
+constexpr std::array<std::array<idx, 2>, 2> kTileGapShapes{
+    {{136, 129}, {207, 200}}};
+
+TYPED_TEST(BatchTest, GeqrfMatchesDirectDriverPastTileEdge) {
+  using T = TypeParam;
+  Iseed seed = seed_for(717);
+  std::vector<Matrix<T>> as, taus;
+  for (const auto& [m, n] : kTileGapShapes) {
+    as.push_back(random_matrix<T>(m, n, seed));
+    taus.emplace_back(std::min(m, n), 1);
+  }
+  std::vector<Matrix<T>> ra = as, rtau = taus;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    ASSERT_EQ(lapack::geqrf(ra[i].rows(), ra[i].cols(), ra[i].data(),
+                            ra[i].ld(), rtau[i].data()),
+              0);
+  }
+  std::vector<T*> pa, pt;
+  std::vector<idx> da, dt;
+  std::vector<idx> infos(as.size(), idx{-1});
+  EXPECT_EQ(batch::geqrf_batch(make_batch(as, pa, da),
+                               make_batch(taus, pt, dt), infos.data()),
+            0);
+  for (idx v : infos) {
+    EXPECT_EQ(v, 0);
+  }
+  expect_identical(ra, as);
+  expect_identical(rtau, taus);
+}
+
+TYPED_TEST(BatchTest, GelsMatchesDirectDriverPastTileEdge) {
+  using T = TypeParam;
+  const idx nrhs = 3;
+  Iseed seed = seed_for(818);
+  std::vector<Matrix<T>> as, bs;
+  for (const auto& [m, n] : kTileGapShapes) {
+    as.push_back(random_matrix<T>(m, n, seed));
+    bs.push_back(random_matrix<T>(m, nrhs, seed));
+  }
+  std::vector<Matrix<T>> ra = as, rb = bs;
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    ASSERT_EQ(lapack::gels(Trans::NoTrans, ra[i].rows(), ra[i].cols(), nrhs,
+                           ra[i].data(), ra[i].ld(), rb[i].data(),
+                           rb[i].ld()),
+              0);
+  }
+  std::vector<T*> pa, pb;
+  std::vector<idx> da, db;
+  EXPECT_EQ(batch::gels_batch(Trans::NoTrans, make_batch(as, pa, da),
+                              make_batch(bs, pb, db)),
+            0);
+  expect_identical(ra, as);
+  expect_identical(rb, bs);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -151,6 +154,48 @@ TYPED_TEST(NetLoopbackTest, GeqrfBitIdenticalToDirectDriver) {
   EXPECT_EQ(max_diff(ra, a), real_t<T>(0));
   for (std::size_t i = 0; i < tau.size(); ++i) {
     EXPECT_EQ(tau[i], rtau[i]) << "tau element " << i;
+  }
+}
+
+// min(m, n) past geqrf's tile edge, max(m, n) below BatchGrain: the
+// direct drivers run the tile DAG while the entry is still coalesced.
+constexpr std::array<std::array<idx, 2>, 2> kTileGapShapes{
+    {{136, 129}, {207, 200}}};
+
+TYPED_TEST(NetLoopbackTest, GelsBitIdenticalToDirectDriverPastTileEdge) {
+  using T = TypeParam;
+  const idx nrhs = 2;
+  Iseed seed = seed_for(9313);
+  Loop lo;
+  for (const auto& [m, n] : kTileGapShapes) {
+    Matrix<T> a = random_matrix<T>(m, n, seed);
+    Matrix<T> b = random_matrix<T>(m, nrhs, seed);
+    Matrix<T> ra = a, rb = b;
+    ASSERT_EQ(lapack::gels(Trans::NoTrans, m, n, nrhs, ra.data(), ra.ld(),
+                           rb.data(), rb.ld()),
+              0);
+    const JobResult r = lo.client.gels(Trans::NoTrans, m, n, nrhs, a.data(),
+                                       a.ld(), b.data(), b.ld());
+    EXPECT_EQ(r.info, 0);
+    EXPECT_EQ(max_diff(ra, a), real_t<T>(0)) << m << " x " << n;
+    EXPECT_EQ(max_diff(rb, b), real_t<T>(0)) << m << " x " << n;
+  }
+}
+
+TYPED_TEST(NetLoopbackTest, GeqrfBitIdenticalToDirectDriverPastTileEdge) {
+  using T = TypeParam;
+  Iseed seed = seed_for(9414);
+  Loop lo;
+  for (const auto& [m, n] : kTileGapShapes) {
+    Matrix<T> a = random_matrix<T>(m, n, seed);
+    Matrix<T> ra = a;
+    std::vector<T> rtau(static_cast<std::size_t>(std::min(m, n)));
+    ASSERT_EQ(lapack::geqrf(m, n, ra.data(), ra.ld(), rtau.data()), 0);
+    std::vector<T> tau(rtau.size());
+    const JobResult r = lo.client.geqrf(m, n, a.data(), a.ld(), tau.data());
+    EXPECT_EQ(r.info, 0);
+    EXPECT_EQ(max_diff(ra, a), real_t<T>(0)) << m << " x " << n;
+    EXPECT_TRUE(tau == rtau) << m << " x " << n;
   }
 }
 
@@ -819,15 +864,48 @@ TEST(NetFaults, ResetMidFrameLeavesListenerServing) {
 TEST(NetFaults, StalledReaderBlocksNeitherOtherPeersNorShutdown) {
   Listener listener;
   ASSERT_TRUE(listener.ok());
-  // conn_inflight jobs of 64 KiB results each, far beyond what the socket
-  // buffers and the listener's unsent-byte high water hold: the listener
-  // must stop reading the stalled peer rather than block or buffer it all.
-  const idx cap = listener.config().conn_inflight;
+  // 64 KiB gesv frames whose results (A and B back) are as large. A peer
+  // that never reads its results must be stopped from submitting: the
+  // listener stops reading it past its unsent-byte high water, so TCP
+  // stalls the peer's sends instead of its results piling up without
+  // bound in the listener.
   std::vector<Matrix<double>> big_a, big_b;
   build_gesv_problems<double>(1, 64, 64, 9666, big_a, big_b);
   std::vector<std::byte> frame;
   append_gesv_submit(frame, 5, big_a[0], big_b[0]);
+  RawSock stalled(listener.port());
+  ASSERT_GE(stalled.fd, 0);
+  ASSERT_TRUE(greet(stalled));
+  // Send until the socket stays full for kStallMs. kMaxFrames (256 MiB) is
+  // far more than the loopback buffers hold, so a peer that sends them all
+  // was never stopped.
+  constexpr idx kMaxFrames = 4096;
+  constexpr int kStallMs = 1500;
+  idx sent = 0;
+  bool blocked = false;
+  for (std::size_t at = 0; sent < kMaxFrames && !blocked;) {
+    const ssize_t w = ::send(stalled.fd, frame.data() + at, frame.size() - at,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (w > 0) {
+      at += static_cast<std::size_t>(w);
+      if (at == frame.size()) {
+        at = 0;
+        ++sent;
+      }
+      continue;
+    }
+    ASSERT_TRUE(w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << std::strerror(errno);
+    pollfd p{stalled.fd, POLLOUT, 0};
+    blocked = ::poll(&p, 1, kStallMs) == 0;
+  }
+  ASSERT_TRUE(blocked) << "the listener read all " << kMaxFrames
+                       << " frames of a peer that reads no results";
+  const std::uint64_t frames_blocked = listener.stats().frames_in;
+  EXPECT_LE(frames_blocked, static_cast<std::uint64_t>(sent));
 
+  // Another peer is served, bit-identically, while the stalled one stays
+  // blocked.
   constexpr idx kJobs = 1000, kWindow = 50, kProblems = 10;
   const idx n = 4, nrhs = 1;
   std::vector<Matrix<double>> as, bs;
@@ -841,18 +919,6 @@ TEST(NetFaults, StalledReaderBlocksNeitherOtherPeersNorShutdown) {
   }
   Client cl;
   ASSERT_TRUE(cl.connect("127.0.0.1", listener.port()));
-  RawSock stalled(listener.port());
-  ASSERT_GE(stalled.fd, 0);
-  ASSERT_TRUE(greet(stalled));
-  // The submissions stall too once the listener stops reading, so they go
-  // out on their own thread; closing the socket at the end releases it.
-  std::thread pusher([&stalled, &frame, cap] {
-    for (idx j = 0; j < cap; ++j) {
-      if (!stalled.send_bytes(frame.data(), frame.size())) {
-        return;
-      }
-    }
-  });
   idx mismatched = 0;
   for (idx base = 0; base < kJobs; base += kWindow) {
     std::vector<Matrix<double>> wa, wb;
@@ -878,15 +944,12 @@ TEST(NetFaults, StalledReaderBlocksNeitherOtherPeersNorShutdown) {
   }
   EXPECT_EQ(mismatched, 0);
   cl.close();
+  // Not one more frame of the stalled peer was read meanwhile.
+  EXPECT_EQ(listener.stats().frames_in,
+            frames_blocked + static_cast<std::uint64_t>(kJobs));
+  // Shutdown does not wait for the stalled peer.
   listener.shutdown();
-  ::shutdown(stalled.fd, SHUT_RDWR);
-  pusher.join();
   EXPECT_EQ(listener.stats().malformed, 0u);
-  // The listener stopped reading the stalled peer: reading on would have
-  // decoded all kJobs + cap frames. This holds while the loopback socket
-  // buffers take less than the cap's 16 MiB of unread results.
-  EXPECT_LT(listener.stats().frames_in,
-            static_cast<std::uint64_t>(kJobs + cap));
 }
 
 TEST(NetFaults, ClientWindowLargerThanSocketBuffersCompletes) {

@@ -5,11 +5,11 @@
 // kInfoRejected instead of blocking, and the dispatcher is work-conserving:
 // partial groups flush as soon as the queue runs dry, so a lonely job never
 // waits for company, and the jobs that queue up behind one flush share the
-// next. Sizes stay below the blocking crossover so the direct drivers take
-// the same unblocked arithmetic path as the batch executor (the regime
-// test_batch.cpp pins down).
+// next. The executor runs each entry as that direct driver call, so the
+// identity holds on either side of the blocking crossover.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -225,6 +225,49 @@ TYPED_TEST(ServeTest, GeqrfBitIdenticalToDirectDriver) {
   EXPECT_EQ(max_diff(ra, a), real_t<T>(0));
   for (std::size_t i = 0; i < tau.size(); ++i) {
     EXPECT_EQ(tau[i], rtau[i]) << "tau element " << i;
+  }
+}
+
+// min(m, n) past geqrf's tile edge, max(m, n) below BatchGrain: the
+// direct drivers run the tile DAG while the entry is still coalesced.
+constexpr std::array<std::array<idx, 2>, 2> kTileGapShapes{
+    {{136, 129}, {207, 200}}};
+
+TYPED_TEST(ServeTest, GelsBitIdenticalToDirectDriverPastTileEdge) {
+  using T = TypeParam;
+  const idx nrhs = 2;
+  Iseed seed = seed_for(3313);
+  Server srv;
+  for (const auto& [m, n] : kTileGapShapes) {
+    Matrix<T> a = random_matrix<T>(m, n, seed);
+    Matrix<T> b = random_matrix<T>(m, nrhs, seed);
+    Matrix<T> ra = a, rb = b;
+    ASSERT_EQ(lapack::gels(Trans::NoTrans, m, n, nrhs, ra.data(), ra.ld(),
+                           rb.data(), rb.ld()),
+              0);
+    const JobResult r = srv.gels(Trans::NoTrans, m, n, nrhs, a.data(),
+                                 a.ld(), b.data(), b.ld())
+                            .get();
+    EXPECT_EQ(r.info, 0);
+    EXPECT_EQ(max_diff(ra, a), real_t<T>(0)) << m << " x " << n;
+    EXPECT_EQ(max_diff(rb, b), real_t<T>(0)) << m << " x " << n;
+  }
+}
+
+TYPED_TEST(ServeTest, GeqrfBitIdenticalToDirectDriverPastTileEdge) {
+  using T = TypeParam;
+  Iseed seed = seed_for(3414);
+  Server srv;
+  for (const auto& [m, n] : kTileGapShapes) {
+    Matrix<T> a = random_matrix<T>(m, n, seed);
+    Matrix<T> ra = a;
+    std::vector<T> rtau(static_cast<std::size_t>(std::min(m, n)));
+    ASSERT_EQ(lapack::geqrf(m, n, ra.data(), ra.ld(), rtau.data()), 0);
+    std::vector<T> tau(rtau.size());
+    const JobResult r = srv.geqrf(m, n, a.data(), a.ld(), tau.data()).get();
+    EXPECT_EQ(r.info, 0);
+    EXPECT_EQ(max_diff(ra, a), real_t<T>(0)) << m << " x " << n;
+    EXPECT_TRUE(tau == rtau) << m << " x " << n;
   }
 }
 

@@ -143,6 +143,49 @@ void BM_GeqrfUnblocked(benchmark::State& state) {
 BENCHMARK(BM_GeqrfUnblocked)->Arg(128)->Arg(256)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 
+// One tiled-QR panel at the default tile edge (64 columns) on one worker:
+// the Level-2 geqr2 + larft pair (arg 0) against the recursive geqrt3
+// (arg 1) that the tiled geqrf runs, at about the heights of the first and
+// the last panel of a 2048 x 1024 factorization.
+void BM_GeqrfPanel(benchmark::State& state) {
+  const idx m = static_cast<idx>(state.range(0));
+  const bool recursive = state.range(1) != 0;
+  const idx w = 64;
+  la::Iseed seed = la::default_iseed();
+  la::Matrix<double> a0(m, w);
+  la::larnv(la::Dist::Uniform11, seed, m * w, a0.data());
+  la::Matrix<double> a(m, w);
+  la::Matrix<double> t(w, w);
+  std::vector<double> tau(w);
+  std::vector<double> work(w);
+  const idx prev = la::set_num_threads(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    a = a0;
+    state.ResumeTiming();
+    if (recursive) {
+      la::lapack::geqrt3(m, w, a.data(), a.ld(), tau.data(), t.data(),
+                         t.ld());
+    } else {
+      la::lapack::geqr2(m, w, a.data(), a.ld(), tau.data(), work.data());
+      la::lapack::larft(m, w, a.data(), a.ld(), tau.data(), t.data(),
+                        t.ld());
+    }
+    benchmark::DoNotOptimize(a.data());
+    benchmark::DoNotOptimize(t.data());
+    benchmark::ClobberMemory();
+  }
+  la::set_num_threads(prev);
+  state.counters["m"] = static_cast<double>(m);
+}
+BENCHMARK(BM_GeqrfPanel)
+    ->ArgNames({"m", "geqrt3"})
+    ->Args({2048, 0})
+    ->Args({2048, 1})
+    ->Args({1024, 0})
+    ->Args({1024, 1})
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -132,11 +132,23 @@ void pack_a(idx mc, idx kc, const T* a, idx lda, Trans ta, idx i0, idx k0,
         }
       }
     } else {
-      for (idx k = 0; k < kc; ++k) {
-        for (idx ii = 0; ii < ib; ++ii) {
-          *buf++ = opval(a, lda, ta, i0 + i + ii, k0 + k);
+      // Strip row ii is source column i0+i+ii: read it contiguously and
+      // scatter it down the strip at stride ib.
+      for (idx ii = 0; ii < ib; ++ii) {
+        const T* src =
+            a + static_cast<std::size_t>(i0 + i + ii) * lda + k0;
+        T* dst = buf + ii;
+        if (ta == Trans::ConjTrans) {
+          for (idx k = 0; k < kc; ++k) {
+            dst[static_cast<std::size_t>(k) * ib] = conj_if(src[k]);
+          }
+        } else {
+          for (idx k = 0; k < kc; ++k) {
+            dst[static_cast<std::size_t>(k) * ib] = src[k];
+          }
         }
       }
+      buf += static_cast<std::size_t>(kc) * ib;
     }
   }
 }
@@ -150,9 +162,23 @@ void pack_b(idx kc, idx nc, const T* b, idx ldb, Trans tb, idx k0, idx j0,
   constexpr idx NR = GemmBlocking<T>::NR;
   for (idx j = 0; j < nc; j += NR) {
     const idx jb = std::min<idx>(NR, nc - j);
-    for (idx k = 0; k < kc; ++k) {
+    if (tb == Trans::NoTrans) {
+      // Strip column jj is source column j0+j+jj: read it contiguously and
+      // scatter it down the strip at stride jb.
       for (idx jj = 0; jj < jb; ++jj) {
-        *buf++ = opval(b, ldb, tb, k0 + k, j0 + j + jj);
+        const T* src =
+            b + static_cast<std::size_t>(j0 + j + jj) * ldb + k0;
+        T* dst = buf + jj;
+        for (idx k = 0; k < kc; ++k) {
+          dst[static_cast<std::size_t>(k) * jb] = src[k];
+        }
+      }
+      buf += static_cast<std::size_t>(kc) * jb;
+    } else {
+      for (idx k = 0; k < kc; ++k) {
+        for (idx jj = 0; jj < jb; ++jj) {
+          *buf++ = opval(b, ldb, tb, k0 + k, j0 + j + jj);
+        }
       }
     }
   }

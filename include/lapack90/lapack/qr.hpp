@@ -6,7 +6,8 @@
 //
 //   larfg / larf          elementary reflector generation / application
 //   larft / larfb         block reflector T-factor / application
-//   geqr2 / geqrf         unblocked / tiled (task-DAG) QR
+//   geqr2 / geqrt3        unblocked / recursive (Level-3) panel QR
+//   geqrf                 tiled (task-DAG) QR
 //   orgqr / ormqr         form Q / multiply by Q (or Q^H)
 //   gelq2 / gelqf         LQ factorization
 //   orglq / ormlq         LQ analogs
@@ -406,12 +407,123 @@ void geqr2(idx m, idx n, T* a, idx lda, T* tau, T* work) noexcept {
   }
 }
 
+namespace detail {
+
+/// geqrt3 levels at most this wide form their two rectangular products
+/// column by column through gemv: at a 16-column level each product is
+/// 8 x 8 x m, too thin for the packed gemm to pay for its packing
+/// (cutoff sweep in EXPERIMENTS.md, "Fused QR panel chain").
+inline constexpr idx kGeqrt3GemvWidth = 16;
+
+/// W += V^H C for the mm x n1 V and mm x n2 C (W is n1 x n2).
+template <Scalar T>
+void geqrt3_vhc(bool narrow, idx mm, idx n1, idx n2, const T* v, idx ldv,
+                const T* c, idx ldc, T* w, idx ldw) noexcept {
+  if (!narrow) {
+    blas::gemm(conj_trans_for<T>(), Trans::NoTrans, n1, n2, mm, T(1), v, ldv,
+               c, ldc, T(1), w, ldw);
+    return;
+  }
+  for (idx j = 0; j < n2; ++j) {
+    blas::gemv(conj_trans_for<T>(), mm, n1, T(1), v, ldv,
+               c + static_cast<std::size_t>(j) * ldc, 1, T(1),
+               w + static_cast<std::size_t>(j) * ldw, 1);
+  }
+}
+
+/// C -= V W for the mm x n1 V, n1 x n2 W and mm x n2 C.
+template <Scalar T>
+void geqrt3_cvw(bool narrow, idx mm, idx n1, idx n2, const T* v, idx ldv,
+                const T* w, idx ldw, T* c, idx ldc) noexcept {
+  if (!narrow) {
+    blas::gemm(Trans::NoTrans, Trans::NoTrans, mm, n2, n1, T(-1), v, ldv, w,
+               ldw, T(1), c, ldc);
+    return;
+  }
+  for (idx j = 0; j < n2; ++j) {
+    blas::gemv(Trans::NoTrans, mm, n1, T(-1), v, ldv,
+               w + static_cast<std::size_t>(j) * ldw, 1, T(1),
+               c + static_cast<std::size_t>(j) * ldc, 1);
+  }
+}
+
+}  // namespace detail
+
+/// Recursive QR factorization of an m x n panel, m >= n (xGEQRT3, after
+/// Elmroth & Gustavson): A = Q R with Q = I - V T V^H. On exit A holds R
+/// and the reflectors V below the diagonal as geqr2 leaves them, tau the
+/// n scalar factors, and the n x n upper triangle of t the block
+/// reflector's T (larft's output; its diagonal is tau). Each level splits
+/// the columns in half, factors the left half, applies its block
+/// reflector to the right half with Level-3 products, factors the right
+/// half and joins the two T factors. The strictly upper triangle of t is
+/// the only workspace.
+template <Scalar T>
+void geqrt3(idx m, idx n, T* a, idx lda, T* tau, T* t, idx ldt) noexcept {
+  if (n <= 0) {
+    return;
+  }
+  if (n == 1) {
+    larfg(m, a[0], a + std::min<idx>(1, m - 1), 1, tau[0]);
+    t[0] = tau[0];
+    return;
+  }
+  const Trans ct = conj_trans_for<T>();
+  const bool narrow = n <= detail::kGeqrt3GemvWidth;
+  const idx n1 = n / 2;
+  const idx n2 = n - n1;
+  T* const a2 = a + static_cast<std::size_t>(n1) * lda;  // A(0, n1)
+  T* const t12 = t + static_cast<std::size_t>(n1) * ldt;  // T(0, n1)
+  T* const t22 = t12 + n1;                                // T(n1, n1)
+  geqrt3(m, n1, a, lda, tau, t, ldt);
+  // A2 := Q1^H A2 = A2 - V1 T1^H V1^H A2, with W = T12 as the workspace.
+  for (idx j = 0; j < n2; ++j) {
+    std::copy_n(a2 + static_cast<std::size_t>(j) * lda, n1,
+                t12 + static_cast<std::size_t>(j) * ldt);
+  }
+  blas::trmm(Side::Left, Uplo::Lower, ct, Diag::Unit, n1, n2, T(1), a, lda,
+             t12, ldt);
+  detail::geqrt3_vhc(narrow, m - n1, n1, n2, a + n1, lda, a2 + n1, lda, t12,
+                     ldt);
+  blas::trmm(Side::Left, Uplo::Upper, ct, Diag::NonUnit, n1, n2, T(1), t,
+             ldt, t12, ldt);
+  detail::geqrt3_cvw(narrow, m - n1, n1, n2, a + n1, lda, t12, ldt, a2 + n1,
+                     lda);
+  blas::trmm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, n1, n2,
+             T(1), a, lda, t12, ldt);
+  for (idx j = 0; j < n2; ++j) {
+    T* const aj = a2 + static_cast<std::size_t>(j) * lda;
+    const T* const wj = t12 + static_cast<std::size_t>(j) * ldt;
+    for (idx i = 0; i < n1; ++i) {
+      aj[i] -= wj[i];
+    }
+  }
+  geqrt3(m - n1, n2, a2 + n1, lda, tau + n1, t22, ldt);
+  // T12 := -T1 (V1^H V2) T2, V2 unit lower trapezoidal from row n1.
+  for (idx j = 0; j < n2; ++j) {
+    for (idx i = 0; i < n1; ++i) {
+      t12[static_cast<std::size_t>(j) * ldt + i] =
+          conj_if(a[static_cast<std::size_t>(i) * lda + n1 + j]);
+    }
+  }
+  blas::trmm(Side::Right, Uplo::Lower, Trans::NoTrans, Diag::Unit, n1, n2,
+             T(1), a2 + n1, lda, t12, ldt);
+  if (m > n) {
+    detail::geqrt3_vhc(narrow, m - n, n1, n2, a + n, lda, a2 + n, lda, t12,
+                       ldt);
+  }
+  blas::trmm(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, n1, n2,
+             T(-1), t, ldt, t12, ldt);
+  blas::trmm(Side::Right, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, n1, n2,
+             T(1), t22, ldt, t12, ldt);
+}
+
 /// QR factorization (xGEQRF). Past the blocking crossover, when the
 /// problem spans at least two column tiles of edge
 /// NB = ilaenv(BlockSize, geqrf), the factorization runs as blocked
-/// Householder tile kernels on the task DAG (lapack/tiled.hpp); otherwise
-/// geqr2 runs. Returns 0, or -100 when a tile workspace probe fails (see
-/// core/error.hpp).
+/// Householder tile kernels (geqrt3 panels, larfb updates) on the task
+/// DAG (lapack/tiled.hpp); otherwise geqr2 runs. Returns 0, or -100 when a
+/// tile workspace probe fails (see core/error.hpp).
 template <Scalar T>
 idx geqrf(idx m, idx n, T* a, idx lda, T* tau) {
   const idx k = std::min(m, n);

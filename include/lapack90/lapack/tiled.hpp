@@ -2,12 +2,14 @@
 //
 // Task-DAG tiled factorizations: the tile structs and graph builders behind
 // lapack::getrf / potrf / geqrf. Each recasts its factorization onto square
-// tile kernels (getrf_tile, trsm_tile, gemm_tile, herk_tile, larfb_tile)
-// scheduled by core/dag.hpp with panel lookahead — panel k+1 factors as
-// soon as the tiles feeding it drain, while step-k trailing updates are
-// still in flight. The tile edge is ilaenv's NB (EnvSpec::BlockSize); the
-// drivers in lu.hpp, cholesky.hpp and qr.hpp gate on it
-// (tiled_fwd.hpp, detail::tile_edge).
+// tile kernels (getrf_tile, trsm_tile, gemm_tile, herk_tile, geqrf_tile,
+// larfb_tile) scheduled by core/dag.hpp with panel lookahead — panel k+1
+// factors as soon as the tiles feeding it drain, while step-k trailing
+// updates are still in flight. The QR panel task also applies the previous
+// step's update to its own column tile, so no other task sits between two
+// QR panels. The tile edge is ilaenv's NB (EnvSpec::BlockSize); the drivers
+// in lu.hpp, cholesky.hpp and qr.hpp gate on it (tiled_fwd.hpp,
+// detail::tile_edge).
 //
 // Each factorization is split into a build step (detail::build declares
 // every tile task with the tiles it reads and writes; TaskGraph derives the
@@ -65,8 +67,7 @@ struct Range {
   return r;
 }
 
-struct PanelWorkTag {};  // geqr2 scratch inside tiled QR panel tasks
-struct LarfbWorkTag {};  // larfb scratch inside tiled QR update tasks
+struct LarfbWorkTag {};  // larfb scratch inside tiled QR panel and update tasks
 
 using Key = TaskGraph::Key;
 constexpr auto kHigh = TaskGraph::Priority::High;
@@ -289,10 +290,18 @@ void build(TaskGraph& g, CholTiles<T>& t) {
 }
 
 // ---------------------------------------------------------------------------
-// QR: tiled blocked Householder. P_s = geqr2 + larft on the panel (the T
-// factors live in driver storage, one nb x nb slot per step); U_{s,c} =
-// larfb_tile applying the panel's compact-WY block to column range c.
-// Per-task workspaces come from thread-local buffers guarded by the
+// QR: tiled blocked Householder, one chain task per step.
+//
+// Tasks per panel step s (panel columns [j0, j0+jb) of k = min(m,n)):
+//   P_s       geqrf_tile: apply step s-1's block reflector to column tile s
+//             (larfb), then factor the panel's columns with the recursive
+//             geqrt3, which returns V, tau and this step's T together
+//   U_{s,c}   larfb_tile: apply step s's block reflector to column range c,
+//             for every trailing range but column tile s+1, which P_{s+1}
+//             updates itself and then factors while it is still in cache
+// So the critical path is the chain P_0 -> P_1 -> ... with no task between
+// two panels. The T factors live in driver storage, one nb x nb slot per
+// step. Per-task workspaces come from thread-local buffers guarded by the
 // alloc_should_fail probe: a failed probe cancels the remaining graph and
 // surfaces INFO = -100.
 // ---------------------------------------------------------------------------
@@ -311,22 +320,19 @@ struct QrTiles {
   [[nodiscard]] idx jb(idx s) const noexcept {
     return std::min<idx>(nb, k - s * nb);
   }
+  [[nodiscard]] T* tslot(idx s) const noexcept {
+    return tstore + static_cast<std::size_t>(s) * nb * nb;
+  }
 
-  /// Panel: geqr2 over the remaining rows + larft into this step's T slot.
-  /// Returns false, having done nothing, when the workspace probe fails.
+  /// Panel P_s: step s-1's update of column tile s, then geqrt3 over the
+  /// remaining rows into tau and this step's T slot. Returns false, having
+  /// done nothing, when the update's workspace probe fails.
   [[nodiscard]] bool geqrf_tile(idx s) noexcept {
-    if (alloc_should_fail()) {
+    const idx j = j0(s), w = jb(s);
+    if (s > 0 && !larfb_tile(s - 1, {j, std::min<idx>(n, j + nb)})) {
       return false;
     }
-    const idx j = j0(s), w = jb(s);
-    T* const work =
-        la::detail::work_buffer<T, PanelWorkTag>(
-            static_cast<std::size_t>(nb));
-    geqr2(m - j, w, at(j, j), lda, tau + j, work);
-    if (j + w < n) {
-      larft(m - j, w, at(j, j), lda, tau + j,
-            tstore + static_cast<std::size_t>(s) * nb * nb, w);
-    }
+    geqrt3(m - j, w, at(j, j), lda, tau + j, tslot(s), w);
     return true;
   }
 
@@ -340,28 +346,24 @@ struct QrTiles {
     T* const work = la::detail::work_buffer<T, LarfbWorkTag>(
         static_cast<std::size_t>(c.len()) * nb);
     larfb(Side::Left, conj_trans_for<T>(), m - j, c.len(), w, at(j, j), lda,
-          tstore + static_cast<std::size_t>(s) * nb * nb, w, at(j, c.lo),
-          lda, work, std::max<idx>(c.len(), 1));
+          tslot(s), w, at(j, c.lo), lda, work, std::max<idx>(c.len(), 1));
     return true;
   }
 };
 
-/// P_s writes column tile s (and the step's tau and T slot with it);
-/// U_{s,c} reads column tile s and writes column tile c. A failed
+/// P_s reads column tile s-1 (V and T of step s-1) and writes column tile
+/// s (and the step's tau and T slot with it); U_{s,c} reads column tile s
+/// and writes column tile c. P_s is added before the updates of step s-1,
+/// so it leads them in the High FIFO. The first update of each step feeds
+/// the panel two steps on and runs High with the panels. A failed
 /// workspace probe cancels the graph with INFO = -100.
 template <Scalar T>
 void build(TaskGraph& g, QrTiles<T>& t) {
   const idx nb = t.nb;
   const idx steps = (t.k + nb - 1) / nb;
-  for (idx s = 0; s < steps; ++s) {
-    g.add(
-        [&t, &g, s] {
-          if (!t.geqrf_tile(s)) {
-            g.cancel(-100);
-          }
-        },
-        {}, std::array{s}, kHigh);
-    const auto cols = tile_ranges(t.j0(s) + t.jb(s), t.n, nb);
+  // U_{s,c} for every column range c of [from, n).
+  const auto updates = [&](idx s, idx from) {
+    const auto cols = tile_ranges(from, t.n, nb);
     for (std::size_t ci = 0; ci < cols.size(); ++ci) {
       const Range c = cols[ci];
       g.add(
@@ -372,7 +374,21 @@ void build(TaskGraph& g, QrTiles<T>& t) {
           },
           std::array{s}, std::array{c.lo / nb}, ci == 0 ? kHigh : kNormal);
     }
+  };
+  for (idx s = 0; s < steps; ++s) {
+    const auto panel = [&t, &g, s] {
+      if (!t.geqrf_tile(s)) {
+        g.cancel(-100);
+      }
+    };
+    if (s == 0) {
+      g.add(panel, {}, std::array{s}, kHigh);
+    } else {
+      g.add(panel, std::array{s - 1}, std::array{s}, kHigh);
+      updates(s - 1, t.j0(s) + nb);  // column tile s went to P_s
+    }
   }
+  updates(steps - 1, t.j0(steps - 1) + t.jb(steps - 1));
 }
 
 }  // namespace la::lapack::tiled::detail

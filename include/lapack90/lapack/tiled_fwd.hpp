@@ -5,7 +5,7 @@
 // The family headers (lu.hpp, cholesky.hpp, qr.hpp) include THIS at the
 // top so their drivers can name the tile pieces, and include
 // lapack/tiled.hpp (the definitions, which in turn use getf2 / potf2 /
-// geqr2 / larft / larfb) at the bottom — breaking the cycle without a
+// geqrt3 / larfb) at the bottom — breaking the cycle without a
 // separate compilation unit.
 #pragma once
 

@@ -124,15 +124,16 @@ struct Defaults {
 // getrf, potrf and geqrf are the exception: their NB is the tile edge of the
 // task DAG (lapack/tiled.hpp). LU tiles in 2D: an nb=128 tile pair of
 // complex<double> stays in L2, and getrf time is flat between 64 and 128. QR
-// tiles are full-height column tiles, so each step's panel (geqr2 + larft down
-// all remaining rows) sits serially on the critical path and only n/nb column
-// tiles update in parallel. Halving the edge to 64 halves that panel chain and
-// doubles the parallelism: geqrf 2048x1024 on a 4-core AVX-512 Xeon, 4 workers,
-// 90 ms at 64 vs 164 ms at 128. Cholesky is fastest at 64 too: potrf 1024 on
-// the same host reads 11.0 ms at 64 vs 16.6 ms at 128 on 4 workers and 29.7 vs
-// 40.5 ms on 1, and 64 is no slower at n = 512 or 2048 (EXPERIMENTS.md, medians
-// of 5 over nb 64/96/128). The crossover is 128 for all three, so a blocked
-// call spans at least two tiles.
+// tiles are full-height column tiles, so each step's panel task (the previous
+// step's larfb onto the panel's column tile, then geqrt3 down all remaining
+// rows) sits serially on the critical path and only n/nb column tiles update
+// in parallel. Halving the edge to 64 halves that panel chain and doubles the
+// parallelism: geqrf 2048x1024 on a 4-core AVX-512 Xeon, 4 workers, 90 ms at
+// 64 vs 164 ms at 128 (measured with the geqr2 + larft panel). Cholesky is
+// fastest at 64 too: potrf 1024 on the same host reads 11.0 ms at 64 vs
+// 16.6 ms at 128 on 4 workers and 29.7 vs 40.5 ms on 1, and 64 is no slower
+// at n = 512 or 2048 (EXPERIMENTS.md, medians of 5 over nb 64/96/128). The
+// crossover is 128 for all three, so a blocked call spans at least two tiles.
 constexpr std::array<Defaults, kRoutines> kDefaults = {{
     {128, 128},  // getrf
     {64, 128},  // potrf

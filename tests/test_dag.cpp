@@ -392,8 +392,11 @@ TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
   using T = TypeParam;
   TileNbGuard nb(64);
   Iseed seed = seed_for(603);
-  for (auto [m, n] :
-       {std::pair<idx, idx>{200, 150}, {150, 200}, {257, 257}}) {
+  // Tall with n mod nb != 0, wide ragged (k = m < n, m mod nb != 0),
+  // square ragged, and exactly two tiles (k = 2 nb): the shapes where the
+  // panel's folded update meets a fragment or the last tile.
+  for (auto [m, n] : {std::pair<idx, idx>{200, 150}, {150, 200}, {257, 257},
+                      {160, 128}}) {
     const Matrix<T> a0 = random_matrix<T>(m, n, seed);
     const idx k = std::min(m, n);
     const auto factor = [&](idx workers, Matrix<T>& f, std::vector<T>& tau) {
@@ -410,16 +413,17 @@ TYPED_TEST(TiledFactorTest, GeqrfBitIdenticalAcrossSchedulersAndWorkers) {
       expect_bitwise(cur, ref, "dag geqrf across worker counts");
       EXPECT_EQ(tcur, tref);
     }
-    // Reconstruct Q R and compare against the input (tall/square shapes).
-    if (m >= n) {
-      Matrix<T> q = ref;
-      lapack::orgqr(m, n, k, q.data(), q.ld(), tref.data());
-      Matrix<T> r(n, n);
-      lapack::lacpy(lapack::Part::Upper, n, n, ref.data(), ref.ld(),
-                    r.data(), r.ld());
-      EXPECT_LE(max_diff(multiply(q, r), a0), tol<T>() * real_t<T>(m + n));
-      EXPECT_LE(orthogonality(q), tol<T>() * real_t<T>(m));
-    }
+    // Reconstruct A = Q(:, 0:k) R(0:k, :) and compare against the input;
+    // on wide shapes this checks the columns past k too.
+    Matrix<T> q(m, k);
+    lapack::lacpy(lapack::Part::All, m, k, ref.data(), ref.ld(), q.data(),
+                  q.ld());
+    lapack::orgqr(m, k, k, q.data(), q.ld(), tref.data());
+    Matrix<T> r(k, n);
+    lapack::lacpy(lapack::Part::Upper, k, n, ref.data(), ref.ld(), r.data(),
+                  r.ld());
+    EXPECT_LE(max_diff(multiply(q, r), a0), tol<T>() * real_t<T>(m + n));
+    EXPECT_LE(orthogonality(q), tol<T>() * real_t<T>(m));
   }
 }
 
@@ -432,9 +436,10 @@ TYPED_TEST(TiledFactorTest, RandomTopologicalOrdersAreBitIdentical) {
   TileNbGuard nbg(16);
   Iseed seed = seed_for(606);
   constexpr std::uint64_t kSeeds = 8;
-  // Square, tall, wide, and wide-ragged (k = m < n, m mod nb != 0).
-  const std::pair<idx, idx> shapes[] = {{96, 96}, {112, 64}, {64, 112},
-                                        {72, 112}};
+  // Square, tall, wide, wide-ragged (k = m < n, m mod nb != 0), tall with
+  // n mod nb != 0, and exactly two tiles (k = 2 nb).
+  const std::pair<idx, idx> shapes[] = {{96, 96},  {112, 64}, {64, 112},
+                                        {72, 112}, {112, 72}, {48, 32}};
   for (const idx workers : {idx{1}, idx{4}}) {
     ThreadsGuard tg(workers);
     for (const auto& [m, n] : shapes) {
@@ -588,6 +593,38 @@ TYPED_TEST(TiledFactorTest, WorkspaceInjectionCancelsDagWithoutDeadlock) {
     ASSERT_EQ(lapack::geqrf(m, n, f.data(), f.ld(), tau.data()), 0);
     expect_bitwise(f, ref, "geqrf after cancelled run");
     EXPECT_EQ(tau, tref);
+  }
+  // Every task but P_0 probes for a larfb workspace: P_s (s > 0) for the
+  // update of column tile s it folds in, U_{s,c} for its own. Fail each
+  // task's probe in turn on a serial drain in insertion order (a
+  // topological order): the failing task cancels the graph with -100.
+  namespace td = lapack::tiled::detail;
+  const idx nbq = td::tile_edge(EnvRoutine::geqrf, k);
+  for (TaskGraph::TaskId victim = 0;; ++victim) {
+    Matrix<T> f = a0;
+    std::vector<T> tau(static_cast<std::size_t>(k), T(0));
+    std::vector<T> tstore(static_cast<std::size_t>(k + nbq - 1) / nbq * nbq *
+                          nbq);
+    td::QrTiles<T> t{m,        n,      k,          nbq,
+                     f.data(), f.ld(), tau.data(), tstore.data()};
+    TaskGraph g;
+    td::build(g, t);
+    if (victim >= g.size()) {
+      break;
+    }
+    int left = 0;
+    for (TaskGraph::TaskId id = 0; id < g.size(); ++id) {
+      if (id == victim) {
+        inject_alloc_failures(1);
+      }
+      g.invoke(id);
+      if (id == victim) {
+        left = inject_alloc_failures(0);
+      }
+    }
+    const bool first_panel = victim == 0;
+    EXPECT_EQ(left, first_panel ? 1 : 0) << "task " << victim;
+    EXPECT_EQ(g.status(), first_panel ? 0 : -100) << "task " << victim;
   }
 }
 

@@ -2,7 +2,8 @@
 //
 // SIMD micro-kernel coverage for the packed gemm: every remainder shape the
 // masked-tail kernels can see (m in 1..2*MR, n in 1..2*NR with ragged k),
-// multi-panel blocking with shrunken MC/KC/NC, the forced-scalar ablation
+// multi-panel blocking with shrunken MC/KC/NC, transposed packs bitwise
+// equal to packs of explicit op() copies, the forced-scalar ablation
 // path, and the beta == 0 overwrite contract (NaN in C must never leak into
 // the result) across gemm/syrk/herk/gemv.
 //
@@ -97,6 +98,86 @@ TYPED_TEST(GemmKernelTest, TransposedTails) {
                                    T(real_t<T>(1)), ++salt);
     }
   }
+}
+
+template <Scalar T>
+Matrix<T> op_copy(Trans t, const Matrix<T>& a) {
+  Matrix<T> o(a.cols(), a.rows());
+  for (idx j = 0; j < a.cols(); ++j) {
+    for (idx i = 0; i < a.rows(); ++i) {
+      o(j, i) = t == Trans::ConjTrans ? conj_if(a(i, j)) : a(i, j);
+    }
+  }
+  return o;
+}
+
+template <Scalar T>
+void expect_same_bits(const Matrix<T>& a, const Matrix<T>& b, Trans t,
+                      char side, idx m, idx n, idx k) {
+  idx diff = 0;
+  for (idx j = 0; j < a.cols(); ++j) {
+    for (idx i = 0; i < a.rows(); ++i) {
+      diff += !(a(i, j) == b(i, j));
+    }
+  }
+  EXPECT_EQ(diff, 0) << "op(" << side << ") trans=" << int(t) << " m=" << m
+                     << " n=" << n << " k=" << k;
+}
+
+// A transposed or conjugated operand packs into exactly the buffer its
+// explicit op() copy packs into as NoTrans, so the two products must agree
+// bit for bit: the pack routines only move data. Every remainder shape,
+// then a shrunken MC/KC/NC so the packs start at interior offsets.
+TYPED_TEST(GemmKernelTest, TransposedOperandsPackLikeExplicitCopies) {
+  using T = TypeParam;
+  constexpr idx MR = GemmBlocking<T>::MR;
+  constexpr idx NR = GemmBlocking<T>::NR;
+  const T alpha = T(real_t<T>(1.25));
+  const T beta = T(real_t<T>(-0.5));
+  int salt = 1700;
+  const auto check = [&](idx m, idx n, idx k) {
+    Iseed seed = seed_for(++salt);
+    for (const Trans t : {Trans::Trans, Trans::ConjTrans}) {
+      const Matrix<T> a = random_matrix<T>(k, m, seed);  // op(a) is m x k
+      const Matrix<T> b = random_matrix<T>(k, n, seed);
+      const Matrix<T> c0 = random_matrix<T>(m, n, seed);
+      const Matrix<T> opa = op_copy(t, a);
+      Matrix<T> c1 = c0, c2 = c0;
+      blas::gemm(t, Trans::NoTrans, m, n, k, alpha, a.data(), a.ld(),
+                 b.data(), b.ld(), beta, c1.data(), c1.ld());
+      blas::gemm(Trans::NoTrans, Trans::NoTrans, m, n, k, alpha, opa.data(),
+                 opa.ld(), b.data(), b.ld(), beta, c2.data(), c2.ld());
+      expect_same_bits(c1, c2, t, 'A', m, n, k);
+
+      const Matrix<T> a2 = random_matrix<T>(m, k, seed);
+      const Matrix<T> bt = random_matrix<T>(n, k, seed);  // op(bt) is k x n
+      const Matrix<T> opb = op_copy(t, bt);
+      c1 = c0;
+      c2 = c0;
+      blas::gemm(Trans::NoTrans, t, m, n, k, alpha, a2.data(), a2.ld(),
+                 bt.data(), bt.ld(), beta, c1.data(), c1.ld());
+      blas::gemm(Trans::NoTrans, Trans::NoTrans, m, n, k, alpha, a2.data(),
+                 a2.ld(), opb.data(), opb.ld(), beta, c2.data(), c2.ld());
+      expect_same_bits(c1, c2, t, 'B', m, n, k);
+    }
+  };
+  for (idx m = 1; m <= 2 * MR; ++m) {
+    for (idx n = 1; n <= 2 * NR; ++n) {
+      for (idx k : {idx(1), idx(3), idx(17)}) {
+        check(m, n, k);
+      }
+    }
+  }
+  const idx prev_mc =
+      set_env_override(EnvSpec::CacheBlockM, EnvRoutine::gemm, MR);
+  const idx prev_kc =
+      set_env_override(EnvSpec::CacheBlockK, EnvRoutine::gemm, 8);
+  const idx prev_nc =
+      set_env_override(EnvSpec::CacheBlockN, EnvRoutine::gemm, NR);
+  check(37, 29, 41);
+  set_env_override(EnvSpec::CacheBlockM, EnvRoutine::gemm, prev_mc);
+  set_env_override(EnvSpec::CacheBlockK, EnvRoutine::gemm, prev_kc);
+  set_env_override(EnvSpec::CacheBlockN, EnvRoutine::gemm, prev_nc);
 }
 
 // k > KC spans several packed k-panels (beta is applied on the first panel

@@ -77,6 +77,83 @@ TYPED_TEST(QrTest, GeqrfReconstructsAndIsOrthogonal) {
   }
 }
 
+// The recursive panel of the tiled geqrf against the Level-2 pair it
+// replaced: geqrt3 must return the V, R, tau and T that geqr2 + larft
+// return (to rounding), and larfb with its T must carry the original panel
+// to its R. Covers odd and power-of-two widths on both sides of the gemv
+// cutoff, square to tall heights, an exactly-zero column (tau = 0) and
+// leading columns already zero below the diagonal.
+TYPED_TEST(QrTest, Geqrt3MatchesGeqr2AndLarft) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  Iseed seed = seed_for(109);
+  enum class Case { Random, ZeroColumn, ZeroBelowDiagonal };
+  for (const idx w : {1, 2, 3, 5, 8, 16, 17, 33, 64}) {
+    for (const idx m : {w, w + 1, 3 * w, idx{300}}) {
+      for (const Case kind :
+           {Case::Random, Case::ZeroColumn, Case::ZeroBelowDiagonal}) {
+        Matrix<T> a0 = random_matrix<T>(m, w, seed);
+        const idx zc = w / 2;
+        if (kind == Case::ZeroColumn) {
+          for (idx i = 0; i < m; ++i) {
+            a0(i, zc) = T(0);
+          }
+        } else if (kind == Case::ZeroBelowDiagonal) {
+          // Columns 0..zc upper triangular with a real diagonal: their
+          // reflectors are the identity (tau = 0).
+          for (idx j = 0; j <= zc; ++j) {
+            a0(j, j) = T(real_part(a0(j, j)));
+            for (idx i = j + 1; i < m; ++i) {
+              a0(i, j) = T(0);
+            }
+          }
+        }
+        Matrix<T> ref = a0, rec = a0;
+        Matrix<T> tref(w, w), trec(w, w);
+        std::vector<T> tauref(w), taurec(w), work(w);
+        lapack::geqr2(m, w, ref.data(), ref.ld(), tauref.data(), work.data());
+        lapack::larft(m, w, ref.data(), ref.ld(), tauref.data(), tref.data(),
+                      tref.ld());
+        lapack::geqrt3(m, w, rec.data(), rec.ld(), taurec.data(),
+                       trec.data(), trec.ld());
+        const R scale = std::max(R(1), lapack::lange(Norm::Max, m, w,
+                                                     ref.data(), ref.ld()));
+        const R bound = tol<T>() * R(m) * scale;
+        const auto where = [&] {
+          return ::testing::Message() << m << "x" << w << " case "
+                                      << static_cast<int>(kind);
+        };
+        EXPECT_LE(max_diff(rec, ref), bound) << where();
+        for (idx i = 0; i < w; ++i) {
+          EXPECT_LE(std::abs(taurec[i] - tauref[i]), bound) << where();
+          EXPECT_EQ(trec(i, i), taurec[i]) << where();
+          for (idx j = i; j < w; ++j) {
+            EXPECT_LE(std::abs(trec(i, j) - tref(i, j)), bound)
+                << where() << " T(" << i << "," << j << ")";
+          }
+        }
+        if (kind != Case::Random) {
+          const idx z = kind == Case::ZeroColumn ? zc : 0;
+          EXPECT_EQ(taurec[z], T(0)) << where();
+        }
+        // Q^H A0 = R through larfb with the returned T.
+        Matrix<T> c = a0;
+        std::vector<T> lwork(static_cast<std::size_t>(w) * w);
+        lapack::larfb(Side::Left, conj_trans_for<T>(), m, w, w, rec.data(),
+                      rec.ld(), trec.data(), trec.ld(), c.data(), c.ld(),
+                      lwork.data(), w);
+        for (idx j = 0; j < w; ++j) {
+          for (idx i = 0; i < m; ++i) {
+            const T want = i <= j ? rec(i, j) : T(0);
+            EXPECT_LE(std::abs(c(i, j) - want), bound)
+                << where() << " (" << i << "," << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 TYPED_TEST(QrTest, OrmqrAppliesQWithoutForming) {
   using T = TypeParam;
   Iseed seed = seed_for(103);

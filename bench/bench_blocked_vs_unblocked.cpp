@@ -186,6 +186,68 @@ BENCHMARK(BM_GeqrfPanel)
     ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond);
 
+// One tiled-QR update at the default tile edge on one worker: larfb Left
+// ConjTrans of a 64-reflector block (V and T from geqrt3) onto an m x 64
+// column tile, at about the heights of the first and the last update of a
+// 2048 x 1024 factorization. Three of its calls are 64 x 64 trmms; the
+// BM_TrmmTile below times one of them alone, so their share can be read off.
+void BM_LarfbTile(benchmark::State& state) {
+  const idx m = static_cast<idx>(state.range(0));
+  const idx k = 64;
+  la::Iseed seed = la::default_iseed();
+  la::Matrix<double> v(m, k);
+  la::larnv(la::Dist::Uniform11, seed, m * k, v.data());
+  la::Matrix<double> t(k, k);
+  std::vector<double> tau(k);
+  la::lapack::geqrt3(m, k, v.data(), v.ld(), tau.data(), t.data(), t.ld());
+  la::Matrix<double> c0(m, k);
+  la::larnv(la::Dist::Uniform11, seed, m * k, c0.data());
+  la::Matrix<double> c(m, k);
+  la::Matrix<double> work(k, k);
+  const idx prev = la::set_num_threads(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    c = c0;
+    state.ResumeTiming();
+    la::lapack::larfb(la::Side::Left, la::Trans::ConjTrans, m, k, k, v.data(),
+                      v.ld(), t.data(), t.ld(), c.data(), c.ld(), work.data(),
+                      work.ld());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  la::set_num_threads(prev);
+  state.counters["m"] = static_cast<double>(m);
+}
+BENCHMARK(BM_LarfbTile)->ArgName("m")->Arg(1600)->Arg(2048)
+    ->Unit(benchmark::kMicrosecond);
+
+// The middle trmm of BM_LarfbTile: W := W T, W 64 x 64, T upper triangular
+// from geqrt3 (Side::Right, the shape of all three larfb trmms).
+void BM_TrmmTile(benchmark::State& state) {
+  const idx k = 64;
+  la::Iseed seed = la::default_iseed();
+  la::Matrix<double> v(2 * k, k);
+  la::larnv(la::Dist::Uniform11, seed, 2 * k * k, v.data());
+  la::Matrix<double> t(k, k);
+  std::vector<double> tau(k);
+  la::lapack::geqrt3(2 * k, k, v.data(), v.ld(), tau.data(), t.data(),
+                     t.ld());
+  la::Matrix<double> w0(k, k);
+  la::larnv(la::Dist::Uniform11, seed, k * k, w0.data());
+  la::Matrix<double> w(k, k);
+  for (auto _ : state) {
+    state.PauseTiming();
+    w = w0;
+    state.ResumeTiming();
+    la::blas::trmm(la::Side::Right, la::Uplo::Upper, la::Trans::NoTrans,
+                   la::Diag::NonUnit, k, k, 1.0, t.data(), t.ld(), w.data(),
+                   w.ld());
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TrmmTile)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -295,12 +295,26 @@ template <Scalar T>
   return s;
 }
 
-/// Euclidean norm with overflow-safe scaling (xNRM2).
+/// Euclidean norm with overflow-safe scaling (xNRM2). A unit-stride real
+/// vector first takes the plain SIMD sum of squares. That sum is returned
+/// (square-rooted) only when it is finite, so no square overflowed (the
+/// partial sums of non-negative terms never exceed the total), and at least
+/// n * safmin / eps, so the at most n squares that underflowed, each off by
+/// less than safmin, move it by under one eps relative. Every other input
+/// (tiny, huge, Inf, NaN, complex, strided) takes the scaled lassq.
 template <Scalar T>
 [[nodiscard]] real_t<T> nrm2(idx n, const T* x, idx incx) noexcept {
   using R = real_t<T>;
   if (n <= 0 || incx <= 0) {
     return R(0);
+  }
+  if constexpr (!is_complex_v<T>) {
+    if (incx == 1) {
+      const R s = detail::dot_contig(n, x, x);
+      if (std::isfinite(s) && s >= R(n) * (safmin<T>() / eps<T>())) {
+        return std::sqrt(s);
+      }
+    }
   }
   R scale(0);
   R sumsq(1);

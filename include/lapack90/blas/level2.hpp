@@ -497,10 +497,10 @@ void trmv(Uplo uplo, Trans trans, Diag diag, idx n, const T* a, idx lda, T* x,
 }
 
 /// Triangular solve op(A) * x = b, overwriting x  (xTRSV). Noinline: the
-/// getrs/potrs single-RHS paths require bit-identical solves from every
-/// call site (the mixed drivers' fallback contract), so all callers must
-/// share one codegen of the complex loops the vectorizer would otherwise
-/// lower per-context.
+/// single-RHS solves (a one-column left trsm, so getrs/potrs/trtrs at
+/// nrhs = 1) require bit-identical solves from every call site (the mixed
+/// drivers' fallback contract), so all callers must share one codegen of
+/// the complex loops the vectorizer would otherwise lower per-context.
 template <Scalar T>
 LAPACK90_NOINLINE void trsv(Uplo uplo, Trans trans, Diag diag, idx n,
                             const T* a, idx lda, T* x, idx incx) noexcept {

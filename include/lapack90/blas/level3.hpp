@@ -19,7 +19,10 @@
 // constant. A straightforward triple loop is kept as `gemm_naive` for the
 // bench_gemm ablation. symm/syrk/trmm/trsm keep the reference-BLAS control
 // structure for small operands and recast large ones onto blocked gemm
-// calls so they inherit the threading and the SIMD kernel.
+// calls so they inherit the threading and the SIMD kernel. The real
+// small-operand trmm/trsm column sweeps run on la::simd (axpy_contig and
+// friends) rather than scalar loops, so a tile-sized triangle product does
+// not fall off the vector unit; a one-column left trsm is a trsv.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include <cstdint>
 
 #include "lapack90/blas/level1.hpp"
+#include "lapack90/blas/level2.hpp"
 #include "lapack90/core/env.hpp"
 #include "lapack90/core/parallel.hpp"
 #include "lapack90/core/simd.hpp"
@@ -1325,6 +1329,9 @@ void her2k(Uplo uplo, Trans trans, idx n, idx k, T alpha, const T* a, idx lda,
 namespace detail {
 
 /// Reference xTRMM kernel (see the public trmm for the blocked dispatch).
+/// Every axpy-shaped column update is a unit-stride blas::axpy, which runs
+/// the la::simd sweep for real T and a scalar loop for complex T; the
+/// Left Trans/ConjTrans branches are dot-shaped and stay scalar.
 template <Scalar T>
 void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
               T alpha, const T* a, idx lda, T* b, idx ldb) noexcept {
@@ -1353,9 +1360,7 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            for (idx i = 0; i < k; ++i) {
-              bcol[i] += t * acol(k)[i];
-            }
+            axpy(k, t, acol(k), 1, bcol, 1);
             bcol[k] = unit ? t : t * acol(k)[k];
           }
         } else {
@@ -1366,9 +1371,7 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
               continue;
             }
             bcol[k] = unit ? t : t * acol(k)[k];
-            for (idx i = k + 1; i < m; ++i) {
-              bcol[i] += t * acol(k)[i];
-            }
+            axpy(m - k - 1, t, acol(k) + k + 1, 1, bcol + k + 1, 1);
           }
         }
       }
@@ -1410,10 +1413,7 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            const T* bk = b + static_cast<std::size_t>(k) * ldb;
-            for (idx i = 0; i < m; ++i) {
-              bj[i] += t * bk[i];
-            }
+            axpy(m, t, b + static_cast<std::size_t>(k) * ldb, 1, bj, 1);
           }
         }
       } else {
@@ -1428,10 +1428,7 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            const T* bk = b + static_cast<std::size_t>(k) * ldb;
-            for (idx i = 0; i < m; ++i) {
-              bj[i] += t * bk[i];
-            }
+            axpy(m, t, b + static_cast<std::size_t>(k) * ldb, 1, bj, 1);
           }
         }
       }
@@ -1445,10 +1442,7 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            T* bj = b + static_cast<std::size_t>(j) * ldb;
-            for (idx i = 0; i < m; ++i) {
-              bj[i] += t * bk[i];
-            }
+            axpy(m, t, bk, 1, b + static_cast<std::size_t>(j) * ldb, 1);
           }
           const T dk = alpha * (unit ? T(1) : cj(acol(k)[k]));
           for (idx i = 0; i < m; ++i) {
@@ -1463,10 +1457,7 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            T* bj = b + static_cast<std::size_t>(j) * ldb;
-            for (idx i = 0; i < m; ++i) {
-              bj[i] += t * bk[i];
-            }
+            axpy(m, t, bk, 1, b + static_cast<std::size_t>(j) * ldb, 1);
           }
           const T dk = alpha * (unit ? T(1) : cj(acol(k)[k]));
           for (idx i = 0; i < m; ++i) {
@@ -1479,6 +1470,8 @@ void trmm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
 }
 
 /// Reference xTRSM kernel (see the public trsm for the blocked dispatch).
+/// Its column updates call axpy with -t: negation is exact, so they round
+/// as y -= t*x would.
 template <Scalar T>
 void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
               T alpha, const T* a, idx lda, T* b, idx ldb) noexcept {
@@ -1589,14 +1582,7 @@ void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (!unit) {
               bcol[k] /= acol(k)[k];
             }
-            const T t = bcol[k];
-            if constexpr (!is_complex_v<T>) {
-              axpy_contig(k, -t, acol(k), bcol);
-            } else {
-              for (idx i = 0; i < k; ++i) {
-                bcol[i] -= t * acol(k)[i];
-              }
-            }
+            axpy(k, -bcol[k], acol(k), 1, bcol, 1);
           }
         } else {
           for (idx k = 0; k < m; ++k) {
@@ -1606,14 +1592,7 @@ void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (!unit) {
               bcol[k] /= acol(k)[k];
             }
-            const T t = bcol[k];
-            if constexpr (!is_complex_v<T>) {
-              axpy_contig(m - k - 1, -t, acol(k) + k + 1, bcol + k + 1);
-            } else {
-              for (idx i = k + 1; i < m; ++i) {
-                bcol[i] -= t * acol(k)[i];
-              }
-            }
+            axpy(m - k - 1, -bcol[k], acol(k) + k + 1, 1, bcol + k + 1, 1);
           }
         }
       }
@@ -1670,14 +1649,7 @@ void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            const T* bk = b + static_cast<std::size_t>(k) * ldb;
-            if constexpr (!is_complex_v<T>) {
-              axpy_contig(m, -t, bk, bj);
-            } else {
-              for (idx i = 0; i < m; ++i) {
-                bj[i] -= t * bk[i];
-              }
-            }
+            axpy(m, -t, b + static_cast<std::size_t>(k) * ldb, 1, bj, 1);
           }
           if (!unit) {
             const T d = T(1) / acol(j)[j];
@@ -1699,14 +1671,7 @@ void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            const T* bk = b + static_cast<std::size_t>(k) * ldb;
-            if constexpr (!is_complex_v<T>) {
-              axpy_contig(m, -t, bk, bj);
-            } else {
-              for (idx i = 0; i < m; ++i) {
-                bj[i] -= t * bk[i];
-              }
-            }
+            axpy(m, -t, b + static_cast<std::size_t>(k) * ldb, 1, bj, 1);
           }
           if (!unit) {
             const T d = T(1) / acol(j)[j];
@@ -1732,14 +1697,7 @@ void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            T* bj = b + static_cast<std::size_t>(j) * ldb;
-            if constexpr (!is_complex_v<T>) {
-              axpy_contig(m, -t, bk, bj);
-            } else {
-              for (idx i = 0; i < m; ++i) {
-                bj[i] -= t * bk[i];
-              }
-            }
+            axpy(m, -t, bk, 1, b + static_cast<std::size_t>(j) * ldb, 1);
           }
           if (alpha != T(1)) {
             for (idx i = 0; i < m; ++i) {
@@ -1761,14 +1719,7 @@ void trsm_ref(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n,
             if (t == T(0)) {
               continue;
             }
-            T* bj = b + static_cast<std::size_t>(j) * ldb;
-            if constexpr (!is_complex_v<T>) {
-              axpy_contig(m, -t, bk, bj);
-            } else {
-              for (idx i = 0; i < m; ++i) {
-                bj[i] -= t * bk[i];
-              }
-            }
+            axpy(m, -t, bk, 1, b + static_cast<std::size_t>(j) * ldb, 1);
           }
           if (alpha != T(1)) {
             for (idx i = 0; i < m; ++i) {
@@ -1867,7 +1818,8 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n, T alpha,
 /// X overwriting B. Left-looking blocked form: each block of B first
 /// subtracts the already-solved blocks through the threaded gemm (which
 /// also applies alpha, as its beta), then finishes with a reference solve
-/// against the diagonal block.
+/// against the diagonal block. One left-hand column is a trsv: the blocked
+/// form has nothing to amortize over it.
 template <Scalar T>
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n, T alpha,
           const T* a, idx lda, T* b, idx ldb) noexcept {
@@ -1876,6 +1828,13 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, idx m, idx n, T alpha,
   }
   if (alpha == T(0)) {
     detail::scale_c(m, n, T(0), b, ldb);
+    return;
+  }
+  if (side == Side::Left && n == 1) {
+    if (alpha != T(1)) {
+      scal(m, alpha, b, 1);
+    }
+    trsv(uplo, trans, diag, m, a, lda, b, 1);
     return;
   }
   const idx nb = detail::GemmBlocking<T>::mc();

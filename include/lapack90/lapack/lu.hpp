@@ -96,20 +96,6 @@ idx getrs(Trans trans, idx n, idx nrhs, const T* a, idx lda, const idx* ipiv,
   if (n <= 0 || nrhs <= 0) {
     return 0;
   }
-  if (nrhs == 1) {
-    // Single right-hand side: the Level-2 solve avoids the blocked trsm's
-    // panel/gemm machinery, which has nothing to amortize over one column.
-    if (trans == Trans::NoTrans) {
-      laswp(1, b, ldb, 0, n, ipiv);
-      blas::trsv(Uplo::Lower, Trans::NoTrans, Diag::Unit, n, a, lda, b, 1);
-      blas::trsv(Uplo::Upper, Trans::NoTrans, Diag::NonUnit, n, a, lda, b, 1);
-    } else {
-      blas::trsv(Uplo::Upper, trans, Diag::NonUnit, n, a, lda, b, 1);
-      blas::trsv(Uplo::Lower, trans, Diag::Unit, n, a, lda, b, 1);
-      laswp(1, b, ldb, 0, n, ipiv, -1);
-    }
-    return 0;
-  }
   if (trans == Trans::NoTrans) {
     laswp(nrhs, b, ldb, 0, n, ipiv);
     blas::trsm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, n, nrhs,

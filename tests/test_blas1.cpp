@@ -80,6 +80,75 @@ TYPED_TEST(Blas1Test, Nrm2IsScaleInvariantSafe) {
   EXPECT_NEAR(nrm / big, std::sqrt(R(3)), tol<T>(R(100)));
 }
 
+/// nrm2 through the scaled sum of squares alone (the fallback path).
+template <Scalar T>
+real_t<T> lassq_norm(idx n, const T* x) {
+  real_t<T> scale(0);
+  real_t<T> sumsq(1);
+  lassq(n, x, 1, scale, sumsq);
+  return scale * std::sqrt(sumsq);
+}
+
+TYPED_TEST(Blas1Test, Nrm2TinyValuesOnBothSidesOfTheFastPathGuard) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  // The unit-stride fast path needs sum(x^2) >= n * safmin / eps. Equal
+  // entries put the sum at n * v^2, so v = sqrt(safmin / eps) * f lands on
+  // the fast side for f > 1 and on the lassq side for f < 1. The two
+  // smallest f leave every square below safmin; at the last, a plain sum
+  // of squares would underflow to zero.
+  const R edge = std::sqrt(safmin<T>() / eps<T>());
+  for (const R f : {R(4), R(1.5), R(0.75), R(0.25),
+                    std::sqrt(eps<T>()) / R(4), eps<T>() / R(4)}) {
+    for (const idx n : {idx(1), idx(7), idx(33)}) {
+      const R v = edge * f;
+      const std::vector<T> x(static_cast<std::size_t>(n), T(v));
+      const R nrm = blas::nrm2(n, x.data(), 1);
+      EXPECT_NEAR(nrm / v, std::sqrt(R(n)), tol<T>() * std::sqrt(R(n)))
+          << "f=" << f << " n=" << n;
+    }
+  }
+}
+
+TYPED_TEST(Blas1Test, Nrm2PropagatesInfAndNanAndZero) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  const R inf = std::numeric_limits<R>::infinity();
+  const R nan = std::numeric_limits<R>::quiet_NaN();
+  const idx n = 37;
+  for (const idx at : {idx(0), idx(20), n - 1}) {
+    std::vector<T> x(static_cast<std::size_t>(n), T(R(0.5)));
+    x[static_cast<std::size_t>(at)] = T(inf);
+    EXPECT_EQ(blas::nrm2(n, x.data(), 1), inf) << "at=" << at;
+    x[static_cast<std::size_t>(at)] = T(nan);
+    EXPECT_TRUE(std::isnan(blas::nrm2(n, x.data(), 1))) << "at=" << at;
+  }
+  const std::vector<T> z(static_cast<std::size_t>(n), T(0));
+  EXPECT_EQ(blas::nrm2(n, z.data(), 1), R(0));
+}
+
+TYPED_TEST(Blas1Test, Nrm2MatchesLassqAcrossVectorWidths) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  Iseed seed = seed_for(7);
+  constexpr idx W = simd_width_v<R>;
+  for (const idx n : {std::max<idx>(W - 1, 1), W, W + 1, 4 * W - 1, 4 * W,
+                      4 * W + 1, idx(2047)}) {
+    std::vector<T> x(static_cast<std::size_t>(n));
+    larnv(Dist::Uniform11, seed, n, x.data());
+    const R ref = lassq_norm(n, x.data());
+    EXPECT_NEAR(blas::nrm2(n, x.data(), 1), ref, tol<T>() * ref) << "n=" << n;
+    // A strided view of the same storage takes the lassq path unchanged.
+    const idx half = (n + 1) / 2;
+    std::vector<T> even(static_cast<std::size_t>(half));
+    for (idx i = 0; i < half; ++i) {
+      even[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(2 * i)];
+    }
+    EXPECT_EQ(blas::nrm2(half, x.data(), 2), lassq_norm(half, even.data()))
+        << "n=" << n;
+  }
+}
+
 TYPED_TEST(Blas1Test, IamaxFindsLargestAbs1) {
   using T = TypeParam;
   Iseed seed = seed_for(5);

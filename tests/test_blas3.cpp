@@ -220,6 +220,120 @@ TYPED_TEST(Blas3Test, TrsmSolvesAgainstDenseReference) {
   EXPECT_LE(max_diff(b, x), tol<T>(real_t<T>(300)));
 }
 
+TYPED_TEST(Blas3Test, SmallTrmmMatchesDenseExpansion) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  Iseed seed = seed_for(40);
+  // Every size stays at or below MC, so trmm runs trmm_ref alone; the sizes
+  // straddle one and two SIMD vectors (the axpy sweeps' scalar tails).
+  constexpr idx W = simd_width_v<R>;
+  const idx sizes[] = {1, 3, std::max<idx>(W - 1, 1), W, W + 1, 2 * W + 1, 64};
+  const T alphas[] = {T(1), make_scalar<T>(R(0.5), R(-1.0))};
+  constexpr Trans kTrans[] = {Trans::NoTrans, Trans::Trans,
+                              Trans::ConjTrans};
+  for (const bool sparse : {false, true}) {
+    for (const idx m : sizes) {
+      for (const idx n : sizes) {
+        for (Side side : {Side::Left, Side::Right}) {
+          const idx an = side == Side::Left ? m : n;
+          // The sparse pass zeroes every third entry of A and of B, so
+          // both the triangle and the B-driven `t == 0` skips are taken.
+          Matrix<T> a = random_matrix<T>(an, an, seed);
+          Matrix<T> b0 = random_matrix<T>(m, n, seed);
+          if (sparse) {
+            for (idx j = 0; j < an; ++j) {
+              for (idx i = 0; i < an; ++i) {
+                if (i != j && (i + 2 * j) % 3 == 0) {
+                  a(i, j) = T(0);
+                }
+              }
+            }
+            for (idx j = 0; j < n; ++j) {
+              for (idx i = 0; i < m; ++i) {
+                if ((2 * i + j) % 3 == 0) {
+                  b0(i, j) = T(0);
+                }
+              }
+            }
+          }
+          for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+            for (Trans trans : kTrans) {
+              for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                const Matrix<T> d = dense_triangle(a, uplo, diag);
+                for (const T alpha : alphas) {
+                  Matrix<T> b = b0;
+                  Matrix<T> bref(m, n);
+                  if (side == Side::Left) {
+                    blas::gemm_naive(trans, Trans::NoTrans, m, n, m, alpha,
+                                     d.data(), d.ld(), b0.data(), b0.ld(),
+                                     T(0), bref.data(), bref.ld());
+                  } else {
+                    blas::gemm_naive(Trans::NoTrans, trans, m, n, n, alpha,
+                                     b0.data(), b0.ld(), d.data(), d.ld(),
+                                     T(0), bref.data(), bref.ld());
+                  }
+                  blas::trmm(side, uplo, trans, diag, m, n, alpha, a.data(),
+                             a.ld(), b.data(), b.ld());
+                  EXPECT_LE(max_diff(b, bref), tol<T>() * R(an))
+                      << static_cast<char>(side) << static_cast<char>(uplo)
+                      << static_cast<char>(trans) << static_cast<char>(diag)
+                      << " m=" << m << " n=" << n << " sparse=" << sparse
+                      << " alpha=" << alpha;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(Blas3Test, SingleColumnTrsmIsTrsv) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  Iseed seed = seed_for(41);
+  const T alpha = make_scalar<T>(R(0.75), R(0.5));
+  constexpr Trans kTrans[] = {Trans::NoTrans, Trans::Trans,
+                              Trans::ConjTrans};
+  // 200 > MC: a one-column left trsm used to take the blocked path there.
+  for (const idx m : {idx(1), idx(7), idx(200)}) {
+    Matrix<T> a = random_matrix<T>(m, m, seed);
+    for (idx j = 0; j < m; ++j) {
+      for (idx i = 0; i < m; ++i) {
+        a(i, j) = a(i, j) / T(R(m));
+      }
+      a(j, j) += T(1);
+    }
+    const Matrix<T> b0 = random_matrix<T>(m, 1, seed);
+    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+      for (Trans trans : kTrans) {
+        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          Matrix<T> x = b0;
+          blas::trsv(uplo, trans, diag, m, a.data(), a.ld(), x.data(), 1);
+          Matrix<T> b = b0;
+          blas::trsm(Side::Left, uplo, trans, diag, m, 1, T(1), a.data(),
+                     a.ld(), b.data(), b.ld());
+          for (idx i = 0; i < m; ++i) {
+            EXPECT_EQ(b(i, 0), x(i, 0))
+                << "m=" << m << " i=" << i << static_cast<char>(uplo)
+                << static_cast<char>(trans) << static_cast<char>(diag);
+          }
+          Matrix<T> bs = b0;
+          blas::trsm(Side::Left, uplo, trans, diag, m, 1, alpha, a.data(),
+                     a.ld(), bs.data(), bs.ld());
+          for (idx i = 0; i < m; ++i) {
+            x(i, 0) *= alpha;
+          }
+          EXPECT_LE(max_diff(bs, x), tol<T>() * R(m))
+              << "m=" << m << static_cast<char>(uplo)
+              << static_cast<char>(trans) << static_cast<char>(diag);
+        }
+      }
+    }
+  }
+}
+
 TYPED_TEST(Blas3Test, GemmAlphaScalesLinearly) {
   using T = TypeParam;
   Iseed seed = seed_for(39);

@@ -18,25 +18,6 @@ TYPED_TEST_SUITE(ParallelBlas3Test, AllTypes);
 constexpr Trans kAllTrans[] = {Trans::NoTrans, Trans::Trans,
                                Trans::ConjTrans};
 
-/// Dense expansion of a stored triangle (unit diagonal honoured).
-template <Scalar T>
-Matrix<T> dense_triangle(const Matrix<T>& a, Uplo uplo, Diag diag) {
-  const idx n = a.rows();
-  Matrix<T> d(n, n);
-  d.fill(T(0));
-  for (idx j = 0; j < n; ++j) {
-    const idx lo = uplo == Uplo::Upper ? 0 : j;
-    const idx hi = uplo == Uplo::Upper ? j : n - 1;
-    for (idx i = lo; i <= hi; ++i) {
-      d(i, j) = a(i, j);
-    }
-    if (diag == Diag::Unit) {
-      d(j, j) = T(1);
-    }
-  }
-  return d;
-}
-
 /// Fill the unstored triangle with garbage so a kernel that touches it is
 /// caught by the dense comparison.
 template <Scalar T>

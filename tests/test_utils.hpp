@@ -91,6 +91,26 @@ template <Scalar T>
   return c;
 }
 
+/// Dense expansion of a stored triangle (unit diagonal honoured).
+template <Scalar T>
+[[nodiscard]] Matrix<T> dense_triangle(const Matrix<T>& a, Uplo uplo,
+                                       Diag diag) {
+  const idx n = a.rows();
+  Matrix<T> d(n, n);
+  d.fill(T(0));
+  for (idx j = 0; j < n; ++j) {
+    const idx lo = uplo == Uplo::Upper ? 0 : j;
+    const idx hi = uplo == Uplo::Upper ? j : n - 1;
+    for (idx i = lo; i <= hi; ++i) {
+      d(i, j) = a(i, j);
+    }
+    if (diag == Diag::Unit) {
+      d(j, j) = T(1);
+    }
+  }
+  return d;
+}
+
 /// max |a_ij - b_ij|.
 template <Scalar T>
 [[nodiscard]] real_t<T> max_diff(const Matrix<T>& a, const Matrix<T>& b) {

@@ -126,38 +126,88 @@ TYPED_TEST(Blas2Test, SymvMatchesDenseSymmetric) {
   }
 }
 
-TYPED_TEST(Blas2Test, HerKeepsDiagonalReal) {
-  using T = TypeParam;
-  Iseed seed = seed_for(15);
-  const idx n = 8;
-  Matrix<T> a = random_hermitian<T>(n, seed);
-  std::vector<T> x(n);
-  larnv(Dist::Uniform11, seed, n, x.data());
-  blas::her(Uplo::Upper, n, real_t<T>(1.5), x.data(), 1, a.data(), a.ld());
-  for (idx i = 0; i < n; ++i) {
-    EXPECT_EQ(imag_part(a(i, i)), real_t<T>(0));
+/// Checks syr/her (two false) or syr2/her2 against explicit sums for both
+/// uplo and incx = incy in {1, -1, 2}: the stored triangle gets
+/// alpha*x*op(y) (+ its twin for rank 2), the other triangle comes back
+/// bit-unchanged and a Hermitian diagonal stays exactly real. The gaps of
+/// a strided vector hold NaN, so a kernel that reads them is caught.
+template <Scalar T>
+void check_rank_update_vec(bool herm, bool two, Iseed& seed) {
+  using R = real_t<T>;
+  auto cj = [herm](T v) { return herm ? conj_if(v) : v; };
+  const idx n = 9;
+  const T alpha =
+      herm && !two ? T(R(1.5)) : make_scalar<T>(R(0.5), R(-0.75));
+  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+    for (const idx inc : {idx(1), idx(-1), idx(2)}) {
+      std::vector<T> x(n);
+      std::vector<T> y(n);
+      larnv(Dist::Uniform11, seed, n, x.data());
+      larnv(Dist::Uniform11, seed, n, y.data());
+      const idx step = inc < 0 ? -inc : inc;
+      const std::size_t len = static_cast<std::size_t>(1 + (n - 1) * step);
+      std::vector<T> xs(len, T(std::numeric_limits<R>::quiet_NaN()));
+      std::vector<T> ys = xs;
+      for (idx i = 0; i < n; ++i) {
+        // BLAS increments: element i sits at i*inc from the stride base,
+        // which is the far end of the storage when inc < 0.
+        const idx at = inc > 0 ? i * inc : (n - 1 - i) * step;
+        xs[at] = x[i];
+        ys[at] = y[i];
+      }
+      const Matrix<T> a0 =
+          herm ? random_hermitian<T>(n, seed) : random_symmetric<T>(n, seed);
+      Matrix<T> a = a0;
+      if (!two && !herm) {
+        blas::syr(uplo, n, alpha, xs.data(), inc, a.data(), a.ld());
+      } else if (!two) {
+        blas::her(uplo, n, real_part(alpha), xs.data(), inc, a.data(),
+                  a.ld());
+      } else if (!herm) {
+        blas::syr2(uplo, n, alpha, xs.data(), inc, ys.data(), inc, a.data(),
+                   a.ld());
+      } else {
+        blas::her2(uplo, n, alpha, xs.data(), inc, ys.data(), inc, a.data(),
+                   a.ld());
+      }
+      const std::vector<T>& v = two ? y : x;
+      for (idx j = 0; j < n; ++j) {
+        for (idx i = 0; i < n; ++i) {
+          const bool stored = uplo == Uplo::Upper ? i <= j : i >= j;
+          if (!stored) {
+            EXPECT_EQ(std::memcmp(&a(i, j), &a0(i, j), sizeof(T)), 0);
+            continue;
+          }
+          T expected = a0(i, j) + alpha * x[i] * cj(v[j]);
+          if (two) {
+            expected += cj(alpha) * y[i] * cj(x[j]);
+          }
+          if (herm && i == j) {
+            EXPECT_EQ(imag_part(a(i, j)), R(0)) << "diagonal " << j;
+          }
+          EXPECT_LE(std::abs(a(i, j) - expected), tol<T>())
+              << "herm=" << herm << " two=" << two
+              << " uplo=" << static_cast<char>(uplo) << " inc=" << inc
+              << " at (" << i << "," << j << ")";
+        }
+      }
+    }
   }
 }
 
+TYPED_TEST(Blas2Test, HerKeepsDiagonalReal) {
+  // syr and her: A += alpha*x*x^T / alpha*x*x^H.
+  Iseed seed = seed_for(15);
+  check_rank_update_vec<TypeParam>(false, false, seed);
+  check_rank_update_vec<TypeParam>(true, false, seed);
+}
+
 TYPED_TEST(Blas2Test, Syr2MatchesRankTwoUpdate) {
-  using T = TypeParam;
+  // syr2 and her2: A += alpha*x*y^T + alpha*y*x^T / alpha*x*y^H +
+  // conj(alpha)*y*x^H.
   Iseed seed = seed_for(16);
-  const idx n = 9;
-  Matrix<T> a = random_symmetric<T>(n, seed);
-  const Matrix<T> a0 = a;
-  std::vector<T> x(n);
-  std::vector<T> y(n);
-  larnv(Dist::Uniform11, seed, n, x.data());
-  larnv(Dist::Uniform11, seed, n, y.data());
-  const T alpha = make_scalar<T>(real_t<T>(0.5));
-  blas::syr2(Uplo::Lower, n, alpha, x.data(), 1, y.data(), 1, a.data(),
-             a.ld());
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = j; i < n; ++i) {
-      const T expected = a0(i, j) + alpha * (x[i] * y[j] + y[i] * x[j]);
-      EXPECT_LE(std::abs(a(i, j) - expected), tol<T>());
-    }
-  }
+  check_rank_update_vec<TypeParam>(false, true, seed);
+  check_rank_update_vec<TypeParam>(true, true, seed);
 }
 
 TYPED_TEST(Blas2Test, TrsvInvertsTrmv) {

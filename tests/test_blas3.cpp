@@ -100,71 +100,20 @@ TYPED_TEST(Blas3Test, SymmHemmMatchDenseMultiply) {
 }
 
 TYPED_TEST(Blas3Test, SyrkHerkMatchExplicitProducts) {
-  using T = TypeParam;
-  using R = real_t<T>;
+  // n = 10 runs the reference kernel alone, n = 300 (> MC) the blocked
+  // recast; see check_rank_update for the uplo/trans/alpha/beta sweep.
   Iseed seed = seed_for(35);
-  const idx n = 10;
-  const idx k = 7;
-  const Matrix<T> a = random_matrix<T>(n, k, seed);
-  // syrk NoTrans: C = A A^T.
-  Matrix<T> c(n, n);
-  blas::syrk(Uplo::Upper, Trans::NoTrans, n, k, T(1), a.data(), a.ld(), T(0),
-             c.data(), c.ld());
-  const Matrix<T> aat = multiply(a, a, Trans::NoTrans, Trans::Trans);
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = 0; i <= j; ++i) {
-      EXPECT_LE(std::abs(c(i, j) - aat(i, j)), tol<T>() * R(k));
-    }
-  }
-  // herk NoTrans: C = A A^H with real diagonal.
-  Matrix<T> ch(n, n);
-  blas::herk(Uplo::Lower, Trans::NoTrans, n, k, R(1), a.data(), a.ld(), R(0),
-             ch.data(), ch.ld());
-  const Matrix<T> aah = multiply(a, a, Trans::NoTrans, conj_trans_for<T>());
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = j; i < n; ++i) {
-      EXPECT_LE(std::abs(ch(i, j) - aah(i, j)), tol<T>() * R(k));
-    }
-    EXPECT_EQ(imag_part(ch(j, j)), R(0));
+  for (const idx n : {idx(10), idx(300)}) {
+    check_rank_update<TypeParam>(false, false, n, 7, seed);
+    check_rank_update<TypeParam>(true, false, n, 7, seed);
   }
 }
 
 TYPED_TEST(Blas3Test, Syr2kHer2kMatchExplicitProducts) {
-  using T = TypeParam;
-  using R = real_t<T>;
   Iseed seed = seed_for(36);
-  const idx n = 8;
-  const idx k = 5;
-  const Matrix<T> a = random_matrix<T>(n, k, seed);
-  const Matrix<T> b = random_matrix<T>(n, k, seed);
-  const T alpha = make_scalar<T>(R(1.5), R(0.5));
-  Matrix<T> c(n, n);
-  blas::syr2k(Uplo::Upper, Trans::NoTrans, n, k, alpha, a.data(), a.ld(),
-              b.data(), b.ld(), T(0), c.data(), c.ld());
-  Matrix<T> ref(n, n);
-  blas::gemm_naive(Trans::NoTrans, Trans::Trans, n, n, k, alpha, a.data(),
-                   a.ld(), b.data(), b.ld(), T(0), ref.data(), ref.ld());
-  blas::gemm_naive(Trans::NoTrans, Trans::Trans, n, n, k, alpha, b.data(),
-                   b.ld(), a.data(), a.ld(), T(1), ref.data(), ref.ld());
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = 0; i <= j; ++i) {
-      EXPECT_LE(std::abs(c(i, j) - ref(i, j)), tol<T>() * R(4 * k));
-    }
-  }
-  Matrix<T> ch(n, n);
-  blas::her2k(Uplo::Lower, Trans::NoTrans, n, k, alpha, a.data(), a.ld(),
-              b.data(), b.ld(), R(0), ch.data(), ch.ld());
-  Matrix<T> refh(n, n);
-  blas::gemm_naive(Trans::NoTrans, conj_trans_for<T>(), n, n, k, alpha,
-                   a.data(), a.ld(), b.data(), b.ld(), T(0), refh.data(),
-                   refh.ld());
-  blas::gemm_naive(Trans::NoTrans, conj_trans_for<T>(), n, n, k,
-                   conj_if(alpha), b.data(), b.ld(), a.data(), a.ld(), T(1),
-                   refh.data(), refh.ld());
-  for (idx j = 0; j < n; ++j) {
-    for (idx i = j; i < n; ++i) {
-      EXPECT_LE(std::abs(ch(i, j) - refh(i, j)), tol<T>() * R(4 * k));
-    }
+  for (const idx n : {idx(10), idx(300)}) {
+    check_rank_update<TypeParam>(false, true, n, 5, seed);
+    check_rank_update<TypeParam>(true, true, n, 5, seed);
   }
 }
 

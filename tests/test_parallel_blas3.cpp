@@ -82,65 +82,19 @@ TYPED_TEST(ParallelBlas3Test, GemmWideProblemStraddlesNcEdge) {
 }
 
 TYPED_TEST(ParallelBlas3Test, BlockedSyrkMatchesDenseProduct) {
-  using T = TypeParam;
+  // k = 140 deep on both sides of MC = 128: n = 300 tiles C into MC-wide
+  // block columns (diagonal blocks on the reference kernel, the rest on
+  // the threaded gemm), n = 10 stays on the reference kernel.
   Iseed seed = seed_for(203);
-  const idx n = 300;  // > MC = 128 => blocked path
-  const idx k = 140;
-  const T alpha = make_scalar<T>(real_t<T>(0.5), real_t<T>(1.0));
-  const T beta = make_scalar<T>(real_t<T>(-1.5));
-  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-    for (Trans trans : {Trans::NoTrans, Trans::Trans}) {
-      const Matrix<T> a = trans == Trans::NoTrans
-                              ? random_matrix<T>(n, k, seed)
-                              : random_matrix<T>(k, n, seed);
-      Matrix<T> c = random_matrix<T>(n, n, seed);
-      Matrix<T> cref = c;
-      blas::syrk(uplo, trans, n, k, alpha, a.data(), a.ld(), beta, c.data(),
-                 c.ld());
-      blas::gemm_naive(trans, trans == Trans::NoTrans ? Trans::Trans
-                                                      : Trans::NoTrans,
-                       n, n, k, alpha, a.data(), a.ld(), a.data(), a.ld(),
-                       beta, cref.data(), cref.ld());
-      for (idx j = 0; j < n; ++j) {
-        const idx lo = uplo == Uplo::Upper ? 0 : j;
-        const idx hi = uplo == Uplo::Upper ? j : n - 1;
-        for (idx i = lo; i <= hi; ++i) {
-          EXPECT_LE(std::abs(c(i, j) - cref(i, j)), tol<T>() * real_t<T>(k));
-        }
-      }
-    }
+  for (const idx n : {idx(10), idx(300)}) {
+    check_rank_update<TypeParam>(false, false, n, 140, seed);
   }
 }
 
 TYPED_TEST(ParallelBlas3Test, BlockedHerkMatchesDenseProduct) {
-  using T = TypeParam;
-  using R = real_t<T>;
   Iseed seed = seed_for(204);
-  const idx n = 300;
-  const idx k = 140;
-  const R alpha = R(0.75);
-  const R beta = R(-0.5);
-  const Trans ct = conj_trans_for<T>();
-  for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
-    for (Trans trans : {Trans::NoTrans, ct}) {
-      const Matrix<T> a = trans == Trans::NoTrans
-                              ? random_matrix<T>(n, k, seed)
-                              : random_matrix<T>(k, n, seed);
-      Matrix<T> c = random_hermitian<T>(n, seed);
-      Matrix<T> cref = c;
-      blas::herk(uplo, trans, n, k, alpha, a.data(), a.ld(), beta, c.data(),
-                 c.ld());
-      blas::gemm_naive(trans, trans == Trans::NoTrans ? ct : Trans::NoTrans,
-                       n, n, k, T(alpha), a.data(), a.ld(), a.data(), a.ld(),
-                       T(beta), cref.data(), cref.ld());
-      for (idx j = 0; j < n; ++j) {
-        const idx lo = uplo == Uplo::Upper ? 0 : j;
-        const idx hi = uplo == Uplo::Upper ? j : n - 1;
-        for (idx i = lo; i <= hi; ++i) {
-          EXPECT_LE(std::abs(c(i, j) - cref(i, j)), tol<T>() * R(k));
-        }
-      }
-    }
+  for (const idx n : {idx(10), idx(300)}) {
+    check_rank_update<TypeParam>(true, false, n, 140, seed);
   }
 }
 

@@ -326,110 +326,94 @@ void hemv(Uplo uplo, idx n, T alpha, const T* a, idx lda, const T* x, idx incx,
                                         y, incy);
 }
 
+namespace detail {
+
+/// Rank-1 update A := alpha*x*x^T + A, or with Herm alpha*x*x^H + A with
+/// the diagonal updated through its real part.
+template <Scalar T, bool Herm>
+void syr_impl(Uplo uplo, idx n, T alpha, const T* x, idx incx, T* a,
+              idx lda) noexcept {
+  if (n <= 0 || alpha == T(0)) {
+    return;
+  }
+  auto cj = [](const T& v) { return Herm ? conj_if(v) : v; };
+  const T* xb = stride_base(x, n, incx);
+  for (idx j = 0; j < n; ++j) {
+    const T t = alpha * cj(xb[off(j, incx)]);
+    T* col = a + static_cast<std::size_t>(j) * lda;
+    // Off-diagonal part of the stored column: [0, j) or (j, n).
+    const idx lo = uplo == Uplo::Upper ? 0 : j + 1;
+    const idx hi = uplo == Uplo::Upper ? j : n;
+    for (idx i = lo; i < hi; ++i) {
+      col[i] += xb[off(i, incx)] * t;
+    }
+    const T d = xb[off(j, incx)] * t;
+    if constexpr (Herm) {
+      col[j] = make_scalar<T>(real_part(col[j]) + real_part(d));
+    } else {
+      col[j] += d;
+    }
+  }
+}
+
+/// Rank-2 update A := alpha*x*y^T + alpha*y*x^T + A, or with Herm
+/// alpha*x*y^H + conj(alpha)*y*x^H + A with a real-part diagonal update.
+template <Scalar T, bool Herm>
+void syr2_impl(Uplo uplo, idx n, T alpha, const T* x, idx incx, const T* y,
+               idx incy, T* a, idx lda) noexcept {
+  if (n <= 0 || alpha == T(0)) {
+    return;
+  }
+  auto cj = [](const T& v) { return Herm ? conj_if(v) : v; };
+  const T* xb = stride_base(x, n, incx);
+  const T* yb = stride_base(y, n, incy);
+  for (idx j = 0; j < n; ++j) {
+    const T t1 = alpha * cj(yb[off(j, incy)]);
+    const T t2 = cj(alpha * xb[off(j, incx)]);
+    T* col = a + static_cast<std::size_t>(j) * lda;
+    const idx lo = uplo == Uplo::Upper ? 0 : j + 1;
+    const idx hi = uplo == Uplo::Upper ? j : n;
+    for (idx i = lo; i < hi; ++i) {
+      col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
+    }
+    const T d = xb[off(j, incx)] * t1 + yb[off(j, incy)] * t2;
+    if constexpr (Herm) {
+      col[j] = make_scalar<T>(real_part(col[j]) + real_part(d));
+    } else {
+      col[j] += d;
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Symmetric rank-1 update A := alpha * x * x^T + A  (xSYR).
 template <Scalar T>
 void syr(Uplo uplo, idx n, T alpha, const T* x, idx incx, T* a,
          idx lda) noexcept {
-  if (n <= 0 || alpha == T(0)) {
-    return;
-  }
-  const T* xb = detail::stride_base(x, n, incx);
-  for (idx j = 0; j < n; ++j) {
-    const T t = alpha * xb[off(j, incx)];
-    T* col = a + static_cast<std::size_t>(j) * lda;
-    if (uplo == Uplo::Upper) {
-      for (idx i = 0; i <= j; ++i) {
-        col[i] += xb[off(i, incx)] * t;
-      }
-    } else {
-      for (idx i = j; i < n; ++i) {
-        col[i] += xb[off(i, incx)] * t;
-      }
-    }
-  }
+  detail::syr_impl<T, false>(uplo, n, alpha, x, incx, a, lda);
 }
 
 /// Hermitian rank-1 update A := alpha * x * x^H + A  (xHER); alpha real.
 template <Scalar T>
 void her(Uplo uplo, idx n, real_t<T> alpha, const T* x, idx incx, T* a,
          idx lda) noexcept {
-  if (n <= 0 || alpha == real_t<T>(0)) {
-    return;
-  }
-  const T* xb = detail::stride_base(x, n, incx);
-  for (idx j = 0; j < n; ++j) {
-    const T t = T(alpha) * conj_if(xb[off(j, incx)]);
-    T* col = a + static_cast<std::size_t>(j) * lda;
-    if (uplo == Uplo::Upper) {
-      for (idx i = 0; i < j; ++i) {
-        col[i] += xb[off(i, incx)] * t;
-      }
-      col[j] = make_scalar<T>(real_part(col[j]) +
-                              real_part(xb[off(j, incx)] * t));
-    } else {
-      col[j] = make_scalar<T>(real_part(col[j]) +
-                              real_part(xb[off(j, incx)] * t));
-      for (idx i = j + 1; i < n; ++i) {
-        col[i] += xb[off(i, incx)] * t;
-      }
-    }
-  }
+  detail::syr_impl<T, is_complex_v<T>>(uplo, n, T(alpha), x, incx, a, lda);
 }
 
 /// Symmetric rank-2 update A := alpha*x*y^T + alpha*y*x^T + A  (xSYR2).
 template <Scalar T>
 void syr2(Uplo uplo, idx n, T alpha, const T* x, idx incx, const T* y,
           idx incy, T* a, idx lda) noexcept {
-  if (n <= 0 || alpha == T(0)) {
-    return;
-  }
-  const T* xb = detail::stride_base(x, n, incx);
-  const T* yb = detail::stride_base(y, n, incy);
-  for (idx j = 0; j < n; ++j) {
-    const T t1 = alpha * yb[off(j, incy)];
-    const T t2 = alpha * xb[off(j, incx)];
-    T* col = a + static_cast<std::size_t>(j) * lda;
-    if (uplo == Uplo::Upper) {
-      for (idx i = 0; i <= j; ++i) {
-        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
-      }
-    } else {
-      for (idx i = j; i < n; ++i) {
-        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
-      }
-    }
-  }
+  detail::syr2_impl<T, false>(uplo, n, alpha, x, incx, y, incy, a, lda);
 }
 
 /// Hermitian rank-2 update A := alpha*x*y^H + conj(alpha)*y*x^H + A (xHER2).
 template <Scalar T>
 void her2(Uplo uplo, idx n, T alpha, const T* x, idx incx, const T* y,
           idx incy, T* a, idx lda) noexcept {
-  if (n <= 0 || alpha == T(0)) {
-    return;
-  }
-  const T* xb = detail::stride_base(x, n, incx);
-  const T* yb = detail::stride_base(y, n, incy);
-  for (idx j = 0; j < n; ++j) {
-    const T t1 = alpha * conj_if(yb[off(j, incy)]);
-    const T t2 = conj_if(alpha * xb[off(j, incx)]);
-    T* col = a + static_cast<std::size_t>(j) * lda;
-    if (uplo == Uplo::Upper) {
-      for (idx i = 0; i < j; ++i) {
-        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
-      }
-      col[j] = make_scalar<T>(
-          real_part(col[j]) +
-          real_part(xb[off(j, incx)] * t1 + yb[off(j, incy)] * t2));
-    } else {
-      col[j] = make_scalar<T>(
-          real_part(col[j]) +
-          real_part(xb[off(j, incx)] * t1 + yb[off(j, incy)] * t2));
-      for (idx i = j + 1; i < n; ++i) {
-        col[i] += xb[off(i, incx)] * t1 + yb[off(i, incy)] * t2;
-      }
-    }
-  }
+  detail::syr2_impl<T, is_complex_v<T>>(uplo, n, alpha, x, incx, y, incy, a,
+                                        lda);
 }
 
 /// Triangular matrix-vector product x := op(A) * x  (xTRMV).

@@ -256,7 +256,8 @@ void lassq(idx n, const T* x, idx incx, real_t<T>& scale,
       sumsq = R(1) + sumsq * r * r;
       scale = av;
     } else {
-      const R r = av / scale;
+      // av == scale must not divide: a second Inf would make Inf/Inf = NaN.
+      const R r = av == scale ? R(1) : av / scale;
       sumsq += r * r;
     }
   };

@@ -125,6 +125,21 @@ TYPED_TEST(Blas1Test, Nrm2PropagatesInfAndNanAndZero) {
   }
   const std::vector<T> z(static_cast<std::size_t>(n), T(0));
   EXPECT_EQ(blas::nrm2(n, z.data(), 1), R(0));
+  // Two infinities stay Inf (the scaled sum must not form Inf/Inf), also
+  // as the two parts of one complex entry; a NaN next to them still wins.
+  const std::vector<std::vector<T>> infs = {
+      {T(R(1)), T(inf), T(R(2)), T(inf)},
+      {T(inf), T(-inf)},
+      {make_scalar<T>(inf, -inf), T(R(3))}};
+  for (const std::vector<T>& v : infs) {
+    EXPECT_EQ(blas::nrm2(idx(v.size()), v.data(), 1), inf) << v.size();
+  }
+  const std::vector<std::vector<T>> nans = {{T(inf), T(nan), T(inf)},
+                                            {T(nan), T(inf), T(inf)},
+                                            {T(inf), T(inf), T(nan)}};
+  for (const std::vector<T>& v : nans) {
+    EXPECT_TRUE(std::isnan(blas::nrm2(idx(3), v.data(), 1)));
+  }
 }
 
 TYPED_TEST(Blas1Test, Nrm2MatchesLassqAcrossVectorWidths) {

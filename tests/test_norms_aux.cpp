@@ -49,6 +49,12 @@ TYPED_TEST(NormsTest, LangeMatchesDirectComputation) {
               tol<T>() * mx);
   EXPECT_NEAR(lapack::lange(Norm::Frobenius, m, n, a.data(), a.ld()), frob,
               tol<T>() * frob);
+  // Two infinite entries give an infinite Frobenius norm, not NaN.
+  Matrix<T> ainf = a;
+  ainf(1, 2) = T(std::numeric_limits<R>::infinity());
+  ainf(7, 11) = T(-std::numeric_limits<R>::infinity());
+  EXPECT_EQ(lapack::lange(Norm::Frobenius, m, n, ainf.data(), ainf.ld()),
+            std::numeric_limits<R>::infinity());
 }
 
 TYPED_TEST(NormsTest, LansyEqualsLangeOnFullSymmetric) {

@@ -238,7 +238,8 @@ bool gap_shape_identical() {
 
 /// --smoke: correctness (batch == sequential loop, bitwise; bit-identical
 /// across worker counts; geqrf/gels entries == the direct drivers) plus a
-/// generous no-regression timing check at one worker.
+/// generous no-regression timing check at one worker, on the medians of
+/// alternating rounds.
 int run_smoke() {
   using clock = std::chrono::steady_clock;
   const idx count = 512, n = 16;
@@ -265,32 +266,47 @@ int run_smoke() {
   const bool identical_threads = pool.b == ref_b && identical_loop;
   const bool identical_gap = gap_shape_identical();
 
-  auto best_of = [&](int reps, auto&& f) {
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      pool.restore();
-      const auto t0 = clock::now();
-      f();
-      const std::chrono::duration<double> dt = clock::now() - t0;
-      best = std::min(best, dt.count());
+  // Batch (one worker) vs loop wall time: the median of kRounds rounds per
+  // arm, the arms alternating (and taking turns to go first) so a burst of
+  // load from other processes lands on both.
+  constexpr int kRounds = 15;
+  std::vector<double> batch_s, loop_s;
+  const auto timed = [&](bool batch) {
+    la::set_num_threads(batch ? 1 : 0);
+    pool.restore();
+    const auto t0 = clock::now();
+    if (batch) {
+      pool.run_batch();
+    } else {
+      pool.run_loop();
     }
-    return best;
+    const std::chrono::duration<double> dt = clock::now() - t0;
+    (batch ? batch_s : loop_s).push_back(dt.count());
   };
-  la::set_num_threads(1);
-  const double t_batch = best_of(5, [&] { pool.run_batch(); });
+  for (int r = 0; r < kRounds; ++r) {
+    const bool batch_first = r % 2 == 0;
+    timed(batch_first);
+    timed(!batch_first);
+  }
   la::set_num_threads(0);
-  const double t_loop = best_of(5, [&] { pool.run_loop(); });
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  const double t_batch = median(batch_s);
+  const double t_loop = median(loop_s);
   const bool fast_enough = t_batch <= t_loop * 1.5;
   const bool ok =
       identical_loop && identical_threads && identical_gap && fast_enough;
 
   std::printf(
       "bench_batch --smoke (backend=%s, %lld systems of n=%lld): batch "
-      "%.3f ms, loop %.3f ms, ratio %.2fx, bit-identical(loop)=%s, "
+      "%.3f ms, loop %.3f ms, medians of %d, ratio %.2fx, "
+      "bit-identical(loop)=%s, "
       "bit-identical(1-vs-4 workers)=%s, "
       "bit-identical(geqrf/gels 207x200 vs direct)=%s -> %s\n",
       la::thread_backend_name(), static_cast<long long>(count),
-      static_cast<long long>(n), t_batch * 1e3, t_loop * 1e3,
+      static_cast<long long>(n), t_batch * 1e3, t_loop * 1e3, kRounds,
       t_loop / t_batch, identical_loop ? "yes" : "no",
       identical_threads ? "yes" : "no", identical_gap ? "yes" : "no",
       ok ? "OK" : "FAIL");

@@ -186,6 +186,44 @@ BENCHMARK(BM_GeqrfPanel)
     ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond);
 
+// One tiled-LU panel at the default tile edge (128 columns) on one worker:
+// the Level-2 getf2 (arg 0) against the recursive getrf2 (arg 1) that the
+// tiled getrf runs, at the height of the first panel of an n = 1024 and an
+// n = 2048 factorization. The stackbench ladder's lapack.getf2_panel_ms
+// times getf2 by name; this is the per-layer number for getrf2.
+void BM_GetrfPanel(benchmark::State& state) {
+  const idx m = static_cast<idx>(state.range(0));
+  const bool recursive = state.range(1) != 0;
+  const idx w = 128;
+  la::Iseed seed = la::default_iseed();
+  la::Matrix<double> a0(m, w);
+  la::larnv(la::Dist::Uniform11, seed, m * w, a0.data());
+  la::Matrix<double> a(m, w);
+  std::vector<idx> ipiv(w);
+  const idx prev = la::set_num_threads(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    a = a0;
+    state.ResumeTiming();
+    if (recursive) {
+      la::lapack::getrf2(m, w, a.data(), a.ld(), ipiv.data());
+    } else {
+      la::lapack::getf2(m, w, a.data(), a.ld(), ipiv.data());
+    }
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  la::set_num_threads(prev);
+  state.counters["m"] = static_cast<double>(m);
+}
+BENCHMARK(BM_GetrfPanel)
+    ->ArgNames({"m", "getrf2"})
+    ->Args({2048, 0})
+    ->Args({2048, 1})
+    ->Args({1024, 0})
+    ->Args({1024, 1})
+    ->Unit(benchmark::kMillisecond);
+
 // One tiled-QR update at the default tile edge on one worker: larfb Left
 // ConjTrans of a 64-reflector block (V and T from geqrt3) onto an m x 64
 // column tile, at about the heights of the first and the last update of a

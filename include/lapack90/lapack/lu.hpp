@@ -5,6 +5,7 @@
 // LA_GEEQU:
 //
 //   getf2   unblocked right-looking LU with partial pivoting
+//   getrf2  recursive (Level-3) LU with partial pivoting, the tiled panel
 //   getrf   tiled LU on the task DAG, tile edge NB from ilaenv
 //   getrs   triangular solves against the computed factors
 //   getri   matrix inverse from the factors
@@ -52,10 +53,17 @@ idx getf2(idx m, idx n, T* a, idx lda, idx* ipiv) noexcept {
       if (p != j) {
         blas::swap(n, a + j, lda, a + p, lda);
       }
-      // Scale the subdiagonal of column j by 1/pivot.
-      const T inv_piv = T(1) / col[j];
-      for (idx i = j + 1; i < m; ++i) {
-        col[i] *= inv_piv;
+      // Scale the subdiagonal of column j by 1/pivot. Below the safe
+      // minimum that reciprocal overflows, so divide instead (xGETF2).
+      if (std::abs(col[j]) >= safmin<T>()) {
+        const T inv_piv = T(1) / col[j];
+        for (idx i = j + 1; i < m; ++i) {
+          col[i] *= inv_piv;
+        }
+      } else {
+        for (idx i = j + 1; i < m; ++i) {
+          col[i] /= col[j];
+        }
       }
     } else if (info == 0) {
       info = j + 1;
@@ -70,11 +78,55 @@ idx getf2(idx m, idx n, T* a, idx lda, idx* ipiv) noexcept {
   return info;
 }
 
+namespace detail {
+
+/// getrf2 levels at most this wide run getf2: below it the trsm and gemm
+/// of a level are too thin to beat getf2's rank-1 updates (width sweep in
+/// EXPERIMENTS.md, "Recursive LU panel").
+inline constexpr idx kGetrf2Width = 16;
+
+}  // namespace detail
+
+/// Recursive LU with partial pivoting (xGETRF2; Toledo, SIAM J. Matrix
+/// Anal. Appl. 1997; Gustavson, IBM J. Res. Dev. 1997). Same contract as
+/// getf2. Each level splits the columns at n1 = min(m, n) / 2 and factors
+/// the left m x n1 block column. It then applies those interchanges to
+/// the right half, solves U12 = L11^{-1} A12 (trsm), updates
+/// A22 -= L21 U12 (gemm), factors A22 and swaps A22's interchanges into
+/// L21. Most flops are Level 3; levels at most detail::kGetrf2Width wide
+/// run getf2.
+template <Scalar T>
+idx getrf2(idx m, idx n, T* a, idx lda, idx* ipiv) noexcept {
+  const idx k = std::min(m, n);
+  const idx n1 = k / 2;
+  if (n <= detail::kGetrf2Width || n1 == 0) {
+    return getf2(m, n, a, lda, ipiv);
+  }
+  const idx n2 = n - n1;
+  T* const a12 = a + static_cast<std::size_t>(n1) * lda;  // A(0, n1)
+  T* const a22 = a12 + n1;                                // A(n1, n1)
+  idx info = getrf2(m, n1, a, lda, ipiv);
+  laswp(n2, a12, lda, 0, n1, ipiv);
+  blas::trsm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, n1, n2,
+             T(1), a, lda, a12, lda);
+  blas::gemm(Trans::NoTrans, Trans::NoTrans, m - n1, n2, n1, T(-1), a + n1,
+             lda, a12, lda, T(1), a22, lda);
+  const idx info2 = getrf2(m - n1, n2, a22, lda, ipiv + n1);
+  if (info == 0 && info2 != 0) {
+    info = info2 + n1;
+  }
+  for (idx i = n1; i < k; ++i) {
+    ipiv[i] += n1;
+  }
+  laswp(n1, a, lda, n1, k, ipiv);
+  return info;
+}
+
 /// LU with partial pivoting (xGETRF). Same contract as getf2. Past the
 /// blocking crossover, when the problem spans at least two tiles of edge
 /// NB = ilaenv(BlockSize, getrf), the factorization runs as tile kernels on
-/// the task DAG with panel lookahead (lapack/tiled.hpp), so most flops are
-/// Level 3; otherwise getf2 runs.
+/// the task DAG with panel lookahead and getrf2 panels (lapack/tiled.hpp),
+/// so most flops are Level 3; otherwise getf2 runs.
 template <Scalar T>
 idx getrf(idx m, idx n, T* a, idx lda, idx* ipiv) {
   const idx k = std::min(m, n);

@@ -77,7 +77,8 @@ constexpr auto kNormal = TaskGraph::Priority::Normal;
 // LU: PA = LU with partial pivoting across the full trailing rows.
 //
 // Tasks per panel step s (panel columns [j0, j0+jb) of k = min(m,n)):
-//   P_s           getrf_tile: getf2 on rows [j0, m), absolute pivots
+//   P_s           getrf_tile: recursive getrf2 on rows [j0, m), absolute
+//                 pivots
 //   S_{s,c}       trsm_tile:  row swaps + L11^{-1} solve on column range c
 //   G_{s,r,c}     gemm_tile:  A(r,c) -= L(r,s) U(s,c)
 // Pivot row swaps left of each panel are applied serially after the graph
@@ -100,12 +101,12 @@ struct LuTiles {
     return std::min<idx>(nb, k - s * nb);
   }
 
-  /// Panel factorization (getf2 over the full remaining rows). The first
+  /// Panel factorization (getrf2 over the full remaining rows). The first
   /// singular pivot wins the INFO race; panels are chain-ordered by the
   /// schedule, so the winner is deterministic.
   void getrf_tile(idx s) noexcept {
     const idx j = j0(s), w = jb(s);
-    const idx pinfo = getf2(m - j, w, at(j, j), lda, ipiv + j);
+    const idx pinfo = getrf2(m - j, w, at(j, j), lda, ipiv + j);
     if (pinfo != 0) {
       idx expected = 0;
       info.compare_exchange_strong(expected, pinfo + j,

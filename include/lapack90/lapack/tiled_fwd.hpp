@@ -4,7 +4,7 @@
 // and forward declarations of the tile structs and their graph builders.
 // The family headers (lu.hpp, cholesky.hpp, qr.hpp) include THIS at the
 // top so their drivers can name the tile pieces, and include
-// lapack/tiled.hpp (the definitions, which in turn use getf2 / potf2 /
+// lapack/tiled.hpp (the definitions, which in turn use getrf2 / potf2 /
 // geqrt3 / larfb) at the bottom — breaking the cycle without a
 // separate compilation unit.
 #pragma once

@@ -542,7 +542,7 @@ TYPED_TEST(TiledFactorTest, DegenerateShapesNeverBuildGraphs) {
     const idx n = 200;
     Matrix<T> a = random_matrix<T>(n, n, seed);
     for (idx i = 0; i < n; ++i) {
-      a(i, 130) = T(0);  // lands in the third 64-wide panel
+      a(i, 130) = T(0);  // lands in the third 64-wide panel (NB 64 above)
     }
     Matrix<T> t = a, u = a;
     std::vector<idx> pt(n), pu(n);
@@ -564,6 +564,25 @@ TYPED_TEST(TiledFactorTest, DegenerateShapesNeverBuildGraphs) {
       EXPECT_EQ(id, 151);
     }
   }
+}
+
+/// A zero column in the second half of a panel's getrf2 recursion: the
+/// tiled INFO is its absolute 1-based index, as getf2 reports it.
+TYPED_TEST(TiledFactorTest, GetrfZeroColumnInPanelSecondHalf) {
+  using T = TypeParam;
+  TileNbGuard nb(64);
+  Iseed seed = seed_for(607);
+  const idx n = 200;
+  const idx col = 2 * 64 + 40;  // third panel [128, 192), which splits at 32
+  Matrix<T> a = random_matrix<T>(n, n, seed);
+  for (idx i = 0; i < n; ++i) {
+    a(i, col) = T(0);
+  }
+  Matrix<T> t = a, u = a;
+  std::vector<idx> pt(n), pu(n);
+  const idx it = lapack::getrf(n, n, t.data(), t.ld(), pt.data());
+  EXPECT_EQ(it, col + 1);
+  EXPECT_EQ(it, lapack::getf2(n, n, u.data(), u.ld(), pu.data()));
 }
 
 TYPED_TEST(TiledFactorTest, WorkspaceInjectionCancelsDagWithoutDeadlock) {

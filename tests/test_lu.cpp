@@ -155,6 +155,149 @@ TYPED_TEST(LuTest, SingularRankDeficientDetected) {
   EXPECT_GT(info, 0);
 }
 
+/// getrf2 against getf2 on tall, square and wide shapes whose widths sit
+/// around the recursion's leaf width W (W-1, W, W+1, 2W+1) and split
+/// unevenly (odd widths; n1 = min(m, n) / 2 well below n / 2 when wide,
+/// down to one-row levels).
+TYPED_TEST(LuTest, Getrf2MatchesGetf2AcrossShapes) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  constexpr idx w = lapack::detail::kGetrf2Width;
+  Iseed seed = seed_for(63);
+  for (const idx n : {w - 1, w, w + 1, 2 * w + 1, 5 * w + 3}) {
+    for (const idx m : {3 * n + 7, n, n / 2 + 1}) {  // tall, square, wide
+      const Matrix<T> a = random_matrix<T>(m, n, seed);
+      const idx k = std::min(m, n);
+      Matrix<T> lu = a;
+      Matrix<T> ref = a;
+      std::vector<idx> p(k, -1);
+      std::vector<idx> pref(k, -1);
+      EXPECT_EQ(lapack::getrf2(m, n, lu.data(), lu.ld(), p.data()), 0);
+      EXPECT_EQ(lapack::getf2(m, n, ref.data(), ref.ld(), pref.data()), 0);
+      for (idx i = 0; i < k; ++i) {
+        EXPECT_GE(p[i], i);
+        EXPECT_LT(p[i], m);
+      }
+      EXPECT_EQ(p, pref) << m << " x " << n;
+      EXPECT_LE(plu_residual(a, lu, p), tol<T>() * R(m + n)) << m << " x " << n;
+      EXPECT_LE(max_diff(lu, ref), tol<T>(R(60)) * R(m + n)) << m << " x " << n;
+    }
+  }
+}
+
+/// An exactly-zero column leaves an exactly-zero pivot at its own index,
+/// whichever half of which recursion level holds it. getrf2's INFO is that
+/// absolute 1-based index (the first one when there are two), as getf2's
+/// is, and the factors still reconstruct A.
+TYPED_TEST(LuTest, Getrf2ReportsFirstZeroPivot) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  constexpr idx w = lapack::detail::kGetrf2Width;
+  Iseed seed = seed_for(64);
+  const idx m = 6 * w, n = 4 * w + 5;
+  const idx n1 = n / 2;               // top-level split
+  const idx n11 = n1 / 2;             // split of the left half
+  const idx n21 = n1 + (n - n1) / 2;  // split of the right half
+  // Zero columns, then the INFO they must give.
+  const std::vector<std::pair<std::vector<idx>, idx>> cases = {
+      {{2}, 3},                   // left half, its left half
+      {{n11 + 1}, n11 + 2},       // left half, its right half
+      {{n1 - 1}, n1},             // last column of the left half
+      {{n1}, n1 + 1},             // first column of the right half
+      {{n21 + 2}, n21 + 3},       // right half, its right half
+      {{n - 1}, n},               // last column
+      {{n1 + 3, 4}, 5},           // both halves: the left one wins
+      {{n - 2, n1 + 1}, n1 + 2},  // both in the right half
+  };
+  for (const auto& [zeros, want] : cases) {
+    Matrix<T> a = random_matrix<T>(m, n, seed);
+    for (const idx c : zeros) {
+      for (idx i = 0; i < m; ++i) {
+        a(i, c) = T(0);
+      }
+    }
+    Matrix<T> lu = a;
+    Matrix<T> ref = a;
+    std::vector<idx> p(n, -1);
+    std::vector<idx> pref(n, -1);
+    const idx info = lapack::getrf2(m, n, lu.data(), lu.ld(), p.data());
+    EXPECT_EQ(info, want);
+    EXPECT_EQ(info, lapack::getf2(m, n, ref.data(), ref.ld(), pref.data()));
+    EXPECT_LE(plu_residual(a, lu, p), tol<T>() * R(m + n));
+  }
+}
+
+/// Pivots below 1/huge, where 1/pivot overflows: getf2 divides by them
+/// instead of scaling by the reciprocal, as xGETF2 does below the safe
+/// minimum. On 1e-310-scale input (4.6e-41 in single precision) getf2 and
+/// getrf2 return finite factors with INFO 0, and gesv solves the system
+/// as it solves the unscaled one, to the precision subnormals keep.
+TYPED_TEST(LuTest, TinyPivotsFactorWithoutOverflow) {
+  using T = TypeParam;
+  using R = real_t<T>;
+  const R s = R(1) / std::numeric_limits<R>::max() / R(64);
+  // Relative spacing of subnormals of size s: the accuracy left to them.
+  const R ulp = std::numeric_limits<R>::denorm_min() / s;
+  const auto finite = [](const Matrix<T>& x) {
+    for (idx j = 0; j < x.cols(); ++j) {
+      for (idx i = 0; i < x.rows(); ++i) {
+        if (!std::isfinite(std::real(x(i, j))) ||
+            !std::isfinite(std::imag(x(i, j)))) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  Iseed seed = seed_for(65);
+  // [[2, 1], [1, 3]], and a diagonally dominant 24 x 24 whose entries
+  // stay under 25 s < 1/huge; both have x = 1.
+  for (const idx n : {2, 24}) {
+    Matrix<T> a0(n, n);
+    if (n == 2) {
+      a0(0, 0) = T(2);
+      a0(1, 0) = T(1);
+      a0(0, 1) = T(1);
+      a0(1, 1) = T(3);
+    } else {
+      a0 = random_matrix<T>(n, n, seed);
+      for (idx i = 0; i < n; ++i) {
+        a0(i, i) += T(R(n));
+      }
+    }
+    Matrix<T> ones(n, 1);
+    ones.fill(T(1));
+    const Matrix<T> b0 = multiply(a0, ones);
+    Matrix<T> a(n, n);
+    Matrix<T> b(n, 1);
+    for (idx j = 0; j < n; ++j) {
+      b(j, 0) = T(s) * b0(j, 0);
+      for (idx i = 0; i < n; ++i) {
+        a(i, j) = T(s) * a0(i, j);
+      }
+    }
+    std::vector<idx> ipiv(n);
+    Matrix<T> lu = a;
+    EXPECT_EQ(lapack::getf2(n, n, lu.data(), lu.ld(), ipiv.data()), 0);
+    EXPECT_TRUE(finite(lu)) << "getf2, n = " << n;
+    lu = a;
+    EXPECT_EQ(lapack::getrf2(n, n, lu.data(), lu.ld(), ipiv.data()), 0);
+    EXPECT_TRUE(finite(lu)) << "getrf2, n = " << n;
+
+    Matrix<T> au = a0;
+    Matrix<T> xu = b0;
+    ASSERT_EQ(lapack::gesv(n, 1, au.data(), au.ld(), ipiv.data(), xu.data(),
+                           xu.ld()),
+              0);
+    Matrix<T> x = b;
+    EXPECT_EQ(
+        lapack::gesv(n, 1, a.data(), a.ld(), ipiv.data(), x.data(), x.ld()),
+        0);
+    EXPECT_TRUE(finite(x)) << "gesv, n = " << n;
+    EXPECT_LE(max_diff(x, xu), R(4 * n) * ulp) << "gesv, n = " << n;
+  }
+}
+
 TYPED_TEST(LuTest, GetriProducesInverse) {
   using T = TypeParam;
   Iseed seed = seed_for(58);

@@ -289,12 +289,8 @@ int run_smoke() {
     timed(!batch_first);
   }
   la::set_num_threads(0);
-  const auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double t_batch = median(batch_s);
-  const double t_loop = median(loop_s);
+  const double t_batch = la::bench::median(batch_s);
+  const double t_loop = la::bench::median(loop_s);
   const bool fast_enough = t_batch <= t_loop * 1.5;
   const bool ok =
       identical_loop && identical_threads && identical_gap && fast_enough;

@@ -480,12 +480,8 @@ int run_smoke() {
     }
     width = coal.stats().mean_batch_entries();
   }
-  const auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  const double t_coal = median(coal_s);
-  const double t_perjob = median(perjob_s);
+  const double t_coal = la::bench::median(coal_s);
+  const double t_perjob = la::bench::median(perjob_s);
   // With a real worker pool the coalesced arm must hold its own (the wide
   // flush is what feeds the pool). On a single-hardware-thread host both
   // arms do the same serial arithmetic and the wide flush only adds

@@ -178,6 +178,12 @@ struct Metric {
   int samples = 0;
 };
 
+/// The median of v (the upper middle for an even count); reorders v.
+inline double median(std::vector<double>& v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 /// median of per-repetition values (baseline) or best (fresh run).
 inline std::map<std::string, Metric> aggregate(const BenchFile& file,
                                                bool best_of) {

@@ -83,7 +83,10 @@ constexpr auto kNormal = TaskGraph::Priority::Normal;
 //   G_{s,r,c}     gemm_tile:  A(r,c) -= L(r,s) U(s,c)
 // Pivot row swaps left of each panel are applied serially after the graph
 // drains (finish) — those columns are never read by any task, so deferring
-// them is arithmetically identical to LAPACK's interleaved scheme.
+// them is arithmetically identical to LAPACK's interleaved scheme. Unlike
+// QR's, the panel does not fold in step s-1's update of its own column
+// tile: the fold measured level at n = 1024 (DESIGN.md section 14, "LU
+// panel").
 // ---------------------------------------------------------------------------
 template <Scalar T>
 struct LuTiles {

@@ -123,7 +123,12 @@ struct Defaults {
 //
 // getrf, potrf and geqrf are the exception: their NB is the tile edge of the
 // task DAG (lapack/tiled.hpp). LU tiles in 2D: an nb=128 tile pair of
-// complex<double> stays in L2, and getrf time is flat between 64 and 128. QR
+// complex<double> stays in L2. With the recursive getrf2 panel, 128 is the
+// fastest of 64/96/128 at n = 1024 and 2048 on 1 and 4 workers of a 4-core
+// AVX-512 Xeon (n = 1024, 4 workers: 16.7 / 14.7 / 13.9 ms; n = 2048:
+// 111 / 83 / 74 ms; medians of 8 alternating rounds, EXPERIMENTS.md). 192
+// and 256 are faster at n = 2048, but 256 is slower at n = 1024 on 4 workers
+// (18.1 vs 14.3 ms), so the edge stays at 128. QR
 // tiles are full-height column tiles, so each step's panel task (the previous
 // step's larfb onto the panel's column tile, then geqrt3 down all remaining
 // rows) sits serially on the critical path and only n/nb column tiles update
